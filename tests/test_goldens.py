@@ -1,0 +1,101 @@
+"""Byte-for-byte goldens of the command line and the demos.
+
+The files in tests/goldens/ pin what a user sees: the `reproduce` summaries
+as JSON and as tables, `check` and `fvector` on the reference decoration,
+the demos' standard output, and the `resolve --trace` files. A refactor must
+leave every one of them identical. Traces are compared without the per-step
+`bad_by_size` field, which the goldens predate.
+
+When an output change is intended, regenerate with
+`PYTHONPATH=src python tests/test_goldens.py` and name the change in
+CHANGES.md.
+"""
+
+import contextlib
+import io
+import json
+import runpy
+import tempfile
+from pathlib import Path
+
+import pytest
+
+from polychrome.cli import main
+from polychrome.serialize import dumps
+
+GOLDENS = Path(__file__).parent / "goldens"
+DEMOS = Path(__file__).parent.parent / "demos"
+
+
+def _stdout(fn, *args) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        fn(*args)
+    return out.getvalue()
+
+
+def _cli(*argv) -> str:
+    return _stdout(main, list(argv))
+
+
+def _inputs(tmp: Path, dim: int, facets: int, preset: str) -> tuple[str, str]:
+    poly, cmap = tmp / f"dc-{dim}-{facets}.json", tmp / f"{preset}.json"
+    _cli("gen", "dual-cyclic", "--dim", str(dim), "--facets", str(facets), "-o", str(poly))
+    _cli("decorate", str(poly), "--preset", preset, "-o", str(cmap))
+    return str(poly), str(cmap)
+
+
+def _trace(tmp: Path, dim: int, facets: int, preset: str) -> str:
+    poly, cmap = _inputs(tmp, dim, facets, preset)
+    trace = tmp / "trace.json"
+    _cli("resolve", poly, cmap, "-o", str(tmp / "out-poly.json"), str(tmp / "out-map.json"),
+         "--trace", str(trace))
+    data = json.loads(trace.read_text(encoding="utf-8"))
+    for step in data["steps"]:
+        step.pop("bad_by_size", None)
+    return dumps(data)
+
+
+def _demo(name: str) -> str:
+    return _stdout(runpy.run_path, str(DEMOS / name), None, "__main__")
+
+
+CASES = {
+    "reproduce-main.json": lambda tmp: _cli("reproduce", "main", "--format", "json"),
+    "reproduce-main.txt": lambda tmp: _cli("reproduce", "main"),
+    "reproduce-main2.json": lambda tmp: _cli("reproduce", "main2", "--format", "json"),
+    "reproduce-main2.txt": lambda tmp: _cli("reproduce", "main2"),
+    "reproduce-main3.json": lambda tmp: _cli("reproduce", "main3", "--format", "json"),
+    "reproduce-main3.txt": lambda tmp: _cli("reproduce", "main3"),
+    "reproduce-main-with-product.json": lambda tmp: _cli(
+        "reproduce", "main", "--with-product", "--format", "json"
+    ),
+    "check-dc4-15-paper-example.json": lambda tmp: _cli(
+        "check", *_inputs(tmp, 4, 15, "paper-example"), "--format", "json"
+    ),
+    "check-dc4-15-paper-example.txt": lambda tmp: _cli(
+        "check", *_inputs(tmp, 4, 15, "paper-example")
+    ),
+    "fvector-dc4-15.json": lambda tmp: _cli(
+        "fvector", _inputs(tmp, 4, 15, "paper-example")[0], "--format", "json"
+    ),
+    "fvector-dc4-15.txt": lambda tmp: _cli("fvector", _inputs(tmp, 4, 15, "paper-example")[0]),
+    "demo-worked_example.txt": lambda tmp: _demo("worked_example.py"),
+    "demo-oriented_small_covers.txt": lambda tmp: _demo("oriented_small_covers.py"),
+    "demo-surgery_and_counts.txt": lambda tmp: _demo("surgery_and_counts.py"),
+    "trace-dc4-15-paper-example.json": lambda tmp: _trace(tmp, 4, 15, "paper-example"),
+    "trace-dc5-16-odd-bijection.json": lambda tmp: _trace(tmp, 5, 16, "odd-bijection"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path):
+    assert CASES[name](tmp_path) == (GOLDENS / name).read_bytes().decode("utf-8")
+
+
+if __name__ == "__main__":
+    GOLDENS.mkdir(exist_ok=True)
+    for name, produce in sorted(CASES.items()):
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDENS / name).write_bytes(produce(Path(tmp)).encode("utf-8"))
+        print(f"wrote {GOLDENS / name}")
