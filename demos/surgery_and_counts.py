@@ -18,12 +18,12 @@ from polychrome import (
     truncate_face,
     validate,
 )
+from polychrome.polytope import euler_sum
 
 
 def show(name, P):
     fv = f_vector(P)
-    alternating = sum(f if d % 2 == 0 else -f for d, f in enumerate(fv))
-    print(f"{name:<28} f = {fv}, euler sum = {alternating}, diagnostics = {validate(P)}")
+    print(f"{name:<28} f = {fv}, euler sum = {euler_sum(fv)}, diagnostics = {validate(P)}")
 
 
 simplex = dual_cyclic(4, 5)

@@ -167,8 +167,6 @@ def lift_determinant_report(P: Polytope, L: CharMap) -> LiftReport:
     means the naive lift would need entry adjustments, not that no lift exists.
     """
     _check_aligned(P, L)
-    if L.n > 5:
-        raise ValueError(f"lift report supports n <= 5, got {L.n}")
     dets = []
     failing = []
     for V in P.vertices:

@@ -15,7 +15,7 @@ from .charmap import PRESET_NAMES, CharMap, bad_faces, lift_determinant_report, 
 from .chromatic import chromatic_number
 from .generators import dual_cyclic, product, segment
 from .pipelines import TARGETS, product_with_segment, reproduce
-from .polytope import f_vector, validate
+from .polytope import euler_expected, euler_sum, f_vector, validate
 from .resolution import DEFAULT_BUDGET, resolve
 
 
@@ -114,19 +114,7 @@ def _cmd_check(args) -> int:
     L = serialize.load_charmap(args.map)
     bad = bad_faces(P, L)
     if args.format == "json":
-        print(
-            serialize.dumps(
-                [
-                    {
-                        "face": list(b.face),
-                        "circuit_size": b.circuit_size,
-                        "witness_vertex": list(b.witness_vertex),
-                    }
-                    for b in bad
-                ]
-            ),
-            end="",
-        )
+        print(serialize.dumps([vars(b) for b in bad]), end="")
     else:
         if not bad:
             print("no bad faces: the map is non-singular at every vertex")
@@ -143,8 +131,8 @@ def _cmd_fvector(args) -> int:
     P = serialize.load_polytope(args.polytope)
     diags = validate(P)
     fv = f_vector(P)
-    alternating = sum(f if d % 2 == 0 else -f for d, f in enumerate(fv))
-    expected = 0 if P.dim % 2 == 0 else 2
+    alternating = euler_sum(fv)
+    expected = euler_expected(P.dim)
     data = {
         "dim": P.dim,
         "f_vector": fv,
@@ -250,15 +238,10 @@ def _cmd_reproduce(args) -> int:
                 f"oriented: {s['oriented']}, steps: {s['steps']}, "
                 f"f = {s['f_vector']}, chi = {s['chi']}"
             )
-            print(
-                "size-3 circuits observed: "
-                + str(s.get("size3_circuits_observed", 0))
-                + (
-                    f", size-5 circuits observed: {s['size5_circuits_observed']}"
-                    if "size5_circuits_observed" in s
-                    else ""
-                )
-            )
+            print(", ".join(
+                f"size-{key.removeprefix('size').split('_')[0]} circuits observed: {count}"
+                for key, count in s.items() if key.endswith("_circuits_observed")
+            ))
         print(f"euler: sum {s['euler_alternating_sum']}, consistent: {s['euler_consistent']}")
         print(f"chi status: {s['chi_status']} (clique {s['clique_size']}, colors {s['colors_used']})")
         for note in s.get("notes", []):

@@ -25,10 +25,29 @@ from .charmap import (
 )
 from .chromatic import ChromaticCertificate, chromatic_number
 from .generators import dual_cyclic, product, segment
-from .polytope import InvariantError, Polytope, f_vector, truncate_face, validate
+from .polytope import (
+    InvariantError, Polytope, euler_expected, euler_sum, f_vector, truncate_face, validate,
+)
 from .resolution import ResolutionReport, resolve
 
-TARGETS = ("main", "main2", "main3")
+
+# target: (dim, facets, preset, expected chi, notes). Each run starts from
+# dual_cyclic(dim, facets) decorated by the preset; oriented presets get the
+# forbidden-circuit checks, and the paper-example run is compared with the
+# counts its reference example quotes.
+_TARGET_TABLE = {
+    "main": (4, 15, "paper-example", 15, ()),
+    "main2": (4, 8, "odd-bijection", 8, (
+        "intermediate step counts are recorded, not asserted: no reference values exist",
+    )),
+    "main3": (5, 16, "odd-bijection", 16, (
+        "interpretation: the oriented 5-dimensional run starts from dual_cyclic(5, 16); "
+        "the quoted starting polytope (the 15-facet 4-dimensional dual) cannot carry "
+        "16 facet vectors of width 5 and is recorded here as a misprint",
+    )),
+}
+
+TARGETS = tuple(_TARGET_TABLE)
 
 # counts quoted by the reference example for the 15-facet run; kept as data so
 # reports can show quoted-vs-computed side by side
@@ -58,6 +77,8 @@ def replay_bad_history(
     """Bad faces before each recorded step (and after the last), by replay.
 
     Also a determinism check: the replayed end state must equal the report's.
+    The pipeline reads the same counts from each step's bad_by_size instead;
+    this full recomputation is the reference that tests compare against.
     """
     history = []
     P, L = P0, L0
@@ -71,14 +92,6 @@ def replay_bad_history(
     return history
 
 
-def _euler_sum(fv: list[int]) -> int:
-    return sum(f if d % 2 == 0 else -f for d, f in enumerate(fv))
-
-
-def _euler_expected(n: int) -> int:
-    return 0 if n % 2 == 0 else 2
-
-
 def _hosts_disjoint(P: Polytope, faces: list[tuple[int, ...]]) -> bool:
     seen: set[tuple[int, ...]] = set()
     for face in faces:
@@ -90,70 +103,12 @@ def _hosts_disjoint(P: Polytope, faces: list[tuple[int, ...]]) -> bool:
     return True
 
 
-def _certified_summary(
-    result: dict, failures: list[str], P: Polytope, L: CharMap, cert: ChromaticCertificate,
-    expected_chi: int,
-) -> None:
-    col = induced_coloring(P, L)
-    result["chi"] = cert.chi
-    result["chi_status"] = cert.status
-    result["chi_lower"] = cert.lower
-    result["chi_upper"] = cert.upper
-    result["clique_size"] = len(cert.clique)
-    result["colors_used"] = col.colors_used
-    result["coloring_proper"] = col.proper
-    if not col.proper:
-        failures.append("final induced coloring is not proper")
-    if cert.status != "exact":
-        failures.append(f"chromatic number not certified exactly: {cert.lower}..{cert.upper}")
-    elif cert.chi != expected_chi:
-        failures.append(f"chi = {cert.chi}, expected {expected_chi}")
-
-
-def _resolved_base(target: str, P0: Polytope, L0: CharMap) -> tuple[dict, list, ResolutionReport, list]:
-    report = resolve(P0, L0)
-    failures: list[str] = []
-    if report.terminated != "success":
-        failures.append(f"resolution terminated with {report.terminated}")
-    history = replay_bad_history(P0, L0, report)
-    if history and any(
-        len(later) >= len(earlier) for earlier, later in zip(history, history[1:])
-    ):
-        failures.append("bad-face count did not strictly decrease at every step")
-    final = report.final_polytope
-    diags = validate(final)
-    if diags:
-        failures.append("final polytope invalid: " + "; ".join(diags))
-    if history[-1]:
-        failures.append(f"{len(history[-1])} bad faces remain")
-    fv = f_vector(final)
-    summary = {
-        "target": target,
-        "initial_bad_count": report.initial_bad_count,
-        "steps": len(report.steps),
-        "terminated": report.terminated,
-        "final_facets": final.num_facets,
-        "f_vector": fv,
-        "euler_alternating_sum": _euler_sum(fv),
-        "euler_consistent": _euler_sum(fv) == _euler_expected(final.dim),
-    }
-    if not summary["euler_consistent"]:
-        failures.append("Euler relation violated by the final f-vector")
-    return summary, failures, report, history
-
-
-def _reproduce_main() -> ReproduceResult:
-    P0 = dual_cyclic(4, 15)
-    L0 = preset("paper-example", P0)
-    summary, failures, report, history = _resolved_base("main", P0, L0)
-    initial = history[0]
+def _compare_with_reference(P0: Polytope, L0: CharMap, fv: list[int]) -> tuple[dict, list[str]]:
+    """Summary fields and notes setting the computed start against the quoted one."""
+    initial = bad_faces(P0, L0)
     edges = [b.face for b in initial if b.circuit_size == 3]
     verts = [b.face for b in initial if b.circuit_size == 4]
-    summary["initial_bad_edges"] = len(edges)
-    summary["initial_bad_vertices"] = len(verts)
-    summary["bad_edges_vertex_disjoint"] = _hosts_disjoint(P0, [b.face for b in initial])
-    summary["reference"] = dict(REFERENCE_MAIN)
-
+    disjoint = _hosts_disjoint(P0, [b.face for b in initial])
     notes = []
     if len(edges) != REFERENCE_MAIN["bad_edges"] or len(verts) != REFERENCE_MAIN["bad_vertices"]:
         ref_edges = {
@@ -173,97 +128,100 @@ def _reproduce_main() -> ReproduceResult:
             )
         )
     ref_fv = REFERENCE_MAIN["f_vector"]
-    euler_ref = ref_fv[0] - ref_fv[1] + ref_fv[2] - ref_fv[3]
     notes.append(
         f"ridge count: the reference example prints {ref_fv[2]} ridges, violating the "
-        f"Euler relation (alternating sum {euler_ref}, expected 0); its own "
+        f"Euler relation (alternating sum {euler_sum(ref_fv)}, expected "
+        f"{euler_expected(len(ref_fv))}); its own "
         f"vertex/edge/facet counts {ref_fv[0]}/{ref_fv[1]}/{ref_fv[3]} would force "
         f"{ref_fv[1] - ref_fv[0] + ref_fv[3]} ridges, and the corrected construction "
-        f"here has f_vector {summary['f_vector']}"
+        f"here has f_vector {fv}"
     )
     notes.append(
         "bad edges pairwise vertex-disjoint: "
-        + ("true" if summary["bad_edges_vertex_disjoint"] else "false")
+        + ("true" if disjoint else "false")
         + " (observed, not assumed)"
     )
-    summary["notes"] = notes
-
-    cert = chromatic_number(report.final_polytope, hint=report.final_map)
-    _certified_summary(summary, failures, report.final_polytope, report.final_map, cert, 15)
-    summary["ok"] = not failures
-    summary["failures"] = failures
-    return ReproduceResult(
-        "main", summary, report.final_polytope, report.final_map, report, cert,
-        not failures, failures,
-    )
-
-
-def _oriented_checks(
-    summary: dict, failures: list[str], L0: CharMap, report: ResolutionReport,
-    history: list[list[BadFace]], forbidden_sizes: tuple[int, ...],
-) -> None:
-    maps = [L0]
-    for step in report.steps:
-        maps.append(maps[-1].extended(step.chosen_vector))
-    oriented_throughout = all(m.mode == "oriented" and oriented_valid(m) for m in maps)
-    summary["oriented"] = oriented_throughout
-    if not oriented_throughout:
-        failures.append("an intermediate map broke the odd-weight condition")
-    observed = Counter(b.circuit_size for state in history for b in state)
-    summary["observed_circuit_sizes"] = {str(k): v for k, v in sorted(observed.items())}
-    for size in forbidden_sizes:
-        summary[f"size{size}_circuits_observed"] = observed.get(size, 0)
-        if observed.get(size, 0):
-            failures.append(f"a size-{size} circuit appeared in an oriented run")
-
-
-def _reproduce_main2() -> ReproduceResult:
-    P0 = dual_cyclic(4, 8)
-    L0 = preset("odd-bijection", P0)
-    summary, failures, report, history = _resolved_base("main2", P0, L0)
-    _oriented_checks(summary, failures, L0, report, history, forbidden_sizes=(3,))
-    summary["notes"] = [
-        "intermediate step counts are recorded, not asserted: no reference values exist"
-    ]
-    cert = chromatic_number(report.final_polytope, hint=report.final_map)
-    _certified_summary(summary, failures, report.final_polytope, report.final_map, cert, 8)
-    summary["ok"] = not failures
-    summary["failures"] = failures
-    return ReproduceResult(
-        "main2", summary, report.final_polytope, report.final_map, report, cert,
-        not failures, failures,
-    )
-
-
-def _reproduce_main3() -> ReproduceResult:
-    P0 = dual_cyclic(5, 16)
-    L0 = preset("odd-bijection", P0)
-    summary, failures, report, history = _resolved_base("main3", P0, L0)
-    _oriented_checks(summary, failures, L0, report, history, forbidden_sizes=(3, 5))
-    summary["notes"] = [
-        "interpretation: the oriented 5-dimensional run starts from dual_cyclic(5, 16); "
-        "the quoted starting polytope (the 15-facet 4-dimensional dual) cannot carry "
-        "16 facet vectors of width 5 and is recorded here as a misprint",
-    ]
-    cert = chromatic_number(report.final_polytope, hint=report.final_map)
-    _certified_summary(summary, failures, report.final_polytope, report.final_map, cert, 16)
-    summary["ok"] = not failures
-    summary["failures"] = failures
-    return ReproduceResult(
-        "main3", summary, report.final_polytope, report.final_map, report, cert,
-        not failures, failures,
-    )
+    fields = {
+        "initial_bad_edges": len(edges),
+        "initial_bad_vertices": len(verts),
+        "bad_edges_vertex_disjoint": disjoint,
+        "reference": dict(REFERENCE_MAIN),
+    }
+    return fields, notes
 
 
 def reproduce(target: str) -> ReproduceResult:
     """Run one of the scripted pipelines end to end."""
-    if target == "main":
-        return _reproduce_main()
-    if target == "main2":
-        return _reproduce_main2()
-    if target == "main3":
-        return _reproduce_main3()
-    raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
+    if target not in _TARGET_TABLE:
+        raise ValueError(f"unknown target {target!r}; expected one of {TARGETS}")
+    dim, facets, decoration, expected_chi, target_notes = _TARGET_TABLE[target]
+    P0 = dual_cyclic(dim, facets)
+    L0 = preset(decoration, P0)
+    report = resolve(P0, L0)
+    P, L = report.final_polytope, report.final_map
+    failures: list[str] = []
+    if report.terminated != "success":
+        failures.append(f"resolution terminated with {report.terminated}")
+    diags = validate(P)
+    if diags:
+        failures.append("final polytope invalid: " + "; ".join(diags))
+    remaining = bad_faces(P, L)
+    if remaining:
+        failures.append(f"{len(remaining)} bad faces remain")
+    fv = f_vector(P)
+    summary = {
+        "target": target,
+        "initial_bad_count": report.initial_bad_count,
+        "steps": len(report.steps),
+        "terminated": report.terminated,
+        "final_facets": P.num_facets,
+        "f_vector": fv,
+        "euler_alternating_sum": euler_sum(fv),
+        "euler_consistent": euler_sum(fv) == euler_expected(P.dim),
+    }
+    if not summary["euler_consistent"]:
+        failures.append("Euler relation violated by the final f-vector")
+
+    notes = list(target_notes)
+    if decoration == "paper-example":
+        reference_fields, reference_notes = _compare_with_reference(P0, L0, fv)
+        summary.update(reference_fields)
+        notes += reference_notes
+    if L0.mode == "oriented":
+        # every intermediate map is a prefix of the final one, and CharMap
+        # refuses even weights in oriented mode, so checking L covers the run
+        summary["oriented"] = L.mode == "oriented" and oriented_valid(L)
+        if not summary["oriented"]:
+            failures.append("the final map breaks the odd-weight condition")
+        observed: Counter = Counter(b.circuit_size for b in remaining)
+        for step in report.steps:
+            observed.update(dict(step.bad_by_size))
+        summary["observed_circuit_sizes"] = {str(k): v for k, v in sorted(observed.items())}
+        # an odd number of odd-weight vectors never sums to zero
+        for size in range(3, P.dim + 1, 2):
+            summary[f"size{size}_circuits_observed"] = observed[size]
+            if observed[size]:
+                failures.append(f"a size-{size} circuit appeared in an oriented run")
+    summary["notes"] = notes
+
+    cert = chromatic_number(P, hint=L)
+    col = induced_coloring(P, L)
+    summary["chi"] = cert.chi
+    summary["chi_status"] = cert.status
+    summary["chi_lower"] = cert.lower
+    summary["chi_upper"] = cert.upper
+    summary["clique_size"] = len(cert.clique)
+    summary["colors_used"] = col.colors_used
+    summary["coloring_proper"] = col.proper
+    if not col.proper:
+        failures.append("final induced coloring is not proper")
+    if cert.status != "exact":
+        failures.append(f"chromatic number not certified exactly: {cert.lower}..{cert.upper}")
+    elif cert.chi != expected_chi:
+        failures.append(f"chi = {cert.chi}, expected {expected_chi}")
+    summary["ok"] = not failures
+    summary["failures"] = failures
+    return ReproduceResult(target, summary, P, L, report, cert, not failures, failures)
 
 
 def product_with_segment(

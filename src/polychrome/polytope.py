@@ -141,6 +141,16 @@ def f_vector(P: Polytope) -> list[int]:
     return [len(by_codim[n - d]) for d in range(n)]
 
 
+def euler_sum(fv: list[int]) -> int:
+    """The alternating sum f_0 - f_1 + f_2 - ... of an f-vector."""
+    return sum(f if d % 2 == 0 else -f for d, f in enumerate(fv))
+
+
+def euler_expected(dim: int) -> int:
+    """The alternating sum the Euler relation requires of a simple dim-polytope."""
+    return 0 if dim % 2 == 0 else 2
+
+
 def facet_adjacency(P: Polytope) -> list[list[bool]]:
     """Symmetric m x m matrix: entry (i, j) true iff facets i != j share a vertex."""
     m = P.num_facets

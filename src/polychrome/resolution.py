@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from . import gf2
@@ -29,6 +30,8 @@ class Step:
     chosen_vector: int
     vertices_removed: int
     vertices_added: int
+    # (circuit size, count) of the bad faces present before this step
+    bad_by_size: tuple[tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -69,7 +72,8 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
     Selection order is smallest circuit first (so edges go before vertices),
     ties broken by lexicographically smallest face. Each round removes the
     selected face's vertices and creates only nonsingular ones, so the
-    bad-face count strictly decreases; that is re-checked every step. On
+    bad-face count strictly decreases; that is re-checked every step, and
+    each step records the bad faces it started from by circuit size. On
     budget exhaustion or a failed vector search the partial state is returned
     in the report rather than raised.
     """
@@ -93,8 +97,9 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
         next_P, new_index = truncate_face(P, target.face)
         next_L = L.extended(w)
         added = len(next_P.vertices) - (len(P.vertices) - removed)
+        histogram = tuple(sorted(Counter(b.circuit_size for b in bad).items()))
         steps.append(
-            Step(target.face, target.circuit_size, new_index, w, removed, added)
+            Step(target.face, target.circuit_size, new_index, w, removed, added, histogram)
         )
         next_bad = bad_faces(next_P, next_L)
         if len(next_bad) >= len(bad):

@@ -8,6 +8,7 @@ save(load(x)) is byte-identical for canonical files.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
 
 from .charmap import CharMap
@@ -60,6 +61,10 @@ def _expect_list(x, what: str) -> list:
     return x
 
 
+def _expect_int_list(x, what: str) -> tuple[int, ...]:
+    return tuple(_expect_int(v, what) for v in _expect_list(x, what))
+
+
 # -- Polytope ---------------------------------------------------------------
 
 def polytope_to_dict(P: Polytope) -> dict:
@@ -77,15 +82,11 @@ def polytope_from_dict(d) -> Polytope:
         _expect_str(x, f"polytope.facets[{i}]")
         for i, x in enumerate(_expect_list(d["facets"], "polytope.facets"))
     )
-    rows = []
-    for i, row in enumerate(_expect_list(d["vertices"], "polytope.vertices")):
-        rows.append(
-            tuple(
-                _expect_int(x, f"polytope.vertices[{i}]")
-                for x in _expect_list(row, f"polytope.vertices[{i}]")
-            )
-        )
-    P = Polytope(dim, labels, tuple(rows))
+    rows = tuple(
+        _expect_int_list(row, f"polytope.vertices[{i}]")
+        for i, row in enumerate(_expect_list(d["vertices"], "polytope.vertices"))
+    )
+    P = Polytope(dim, labels, rows)
     diags = validate(P)
     if diags:
         raise InvariantError("polytope: " + "; ".join(diags))
@@ -128,30 +129,36 @@ def load_charmap(path) -> CharMap:
 # -- ResolutionReport ---------------------------------------------------------
 
 _REPORT_KEYS = ("final_map", "final_polytope", "initial_bad_count", "steps", "terminated")
-_STEP_KEYS = (
-    "chosen_vector",
-    "circuit_size",
-    "face",
-    "new_facet_index",
-    "vertices_added",
-    "vertices_removed",
-)
+
+
+def _expect_pair_list(x, what: str) -> tuple[tuple[int, int], ...]:
+    pairs = []
+    for j, p in enumerate(_expect_list(x, what)):
+        pair = _expect_int_list(p, f"{what}[{j}]")
+        if len(pair) != 2:
+            raise SchemaError(f"{what}[{j}]: expected an [int, int] pair, got {p!r}")
+        pairs.append(pair)
+    return tuple(pairs)
+
+
+# one parser per Step field annotation; a new field type fails at import
+_FIELD_PARSERS = {
+    "int": _expect_int,
+    "tuple[int, ...]": _expect_int_list,
+    "tuple[tuple[int, int], ...]": _expect_pair_list,
+}
+_STEP_FIELDS = tuple((f.name, _FIELD_PARSERS[f.type]) for f in fields(Step))
+_STEP_KEYS = tuple(name for name, _ in _STEP_FIELDS)
+
+
+def _as_json(x):
+    return [_as_json(v) for v in x] if isinstance(x, tuple) else x
 
 
 def report_to_dict(r: ResolutionReport) -> dict:
     return {
         "initial_bad_count": r.initial_bad_count,
-        "steps": [
-            {
-                "face": list(s.face),
-                "circuit_size": s.circuit_size,
-                "new_facet_index": s.new_facet_index,
-                "chosen_vector": s.chosen_vector,
-                "vertices_removed": s.vertices_removed,
-                "vertices_added": s.vertices_added,
-            }
-            for s in r.steps
-        ],
+        "steps": [{name: _as_json(getattr(s, name)) for name, _ in _STEP_FIELDS} for s in r.steps],
         "final_polytope": polytope_to_dict(r.final_polytope),
         "final_map": charmap_to_dict(r.final_map),
         "terminated": r.terminated,
@@ -164,25 +171,8 @@ def report_from_dict(d) -> ResolutionReport:
     for i, sd in enumerate(_expect_list(d["steps"], "report.steps")):
         _expect_keys(sd, _STEP_KEYS, f"report.steps[{i}]")
         steps.append(
-            Step(
-                face=tuple(
-                    _expect_int(x, f"report.steps[{i}].face")
-                    for x in _expect_list(sd["face"], f"report.steps[{i}].face")
-                ),
-                circuit_size=_expect_int(sd["circuit_size"], f"report.steps[{i}].circuit_size"),
-                new_facet_index=_expect_int(
-                    sd["new_facet_index"], f"report.steps[{i}].new_facet_index"
-                ),
-                chosen_vector=_expect_int(
-                    sd["chosen_vector"], f"report.steps[{i}].chosen_vector"
-                ),
-                vertices_removed=_expect_int(
-                    sd["vertices_removed"], f"report.steps[{i}].vertices_removed"
-                ),
-                vertices_added=_expect_int(
-                    sd["vertices_added"], f"report.steps[{i}].vertices_added"
-                ),
-            )
+            Step(**{name: parse(sd[name], f"report.steps[{i}].{name}")
+                    for name, parse in _STEP_FIELDS})
         )
     terminated = _expect_str(d["terminated"], "report.terminated")
     if terminated not in TERMINATED:

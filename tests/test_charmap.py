@@ -166,6 +166,16 @@ def test_lift_determinant_matches_permutation_oracle(reference_pair):
         assert det == det_by_permutations(rows)
 
 
+def test_lift_determinant_beyond_five_dimensions():
+    P = dual_cyclic(6, 8)
+    L = preset("identity-first", P)
+    rep = lift_determinant_report(P, L)
+    assert len(rep.determinants) == len(P.vertices)
+    for V, det in zip(P.vertices, rep.determinants):
+        rows = [[(L.vectors[j] >> r) & 1 for j in V] for r in range(L.n)]
+        assert det == det_by_permutations(rows)
+
+
 def test_lift_determinant_mixed_columns():
     # columns e1+e2, e2+e3, e3+e4, e1+e2+e3
     rows = [[(v >> r) & 1 for v in (3, 6, 12, 7)] for r in range(4)]

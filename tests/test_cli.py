@@ -98,6 +98,17 @@ def test_lift_check(simplex_flow, capsys):
     assert code in (0, 2)  # unimodularity of the naive lift is reported, not promised
 
 
+def test_lift_check_runs_in_six_dimensions(tmp_path, capsys):
+    poly, cmap = tmp_path / "poly.json", tmp_path / "map.json"
+    assert main(["gen", "dual-cyclic", "--dim", "6", "--facets", "8", "-o", str(poly)]) == 0
+    assert main(["decorate", str(poly), "--preset", "identity-first", "-o", str(cmap)]) == 0
+    capsys.readouterr()
+    code = main(["lift-check", str(poly), str(cmap), "--format", "json"])
+    data = json.loads(capsys.readouterr().out)
+    assert code == (0 if data["all_unimodular"] else 2)
+    assert len(data["determinants"]) == 16
+
+
 def test_reproduce_main2(capsys):
     assert main(["reproduce", "main2", "--format", "json"]) == 0
     data = json.loads(capsys.readouterr().out)

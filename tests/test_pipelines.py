@@ -1,10 +1,14 @@
+import dataclasses
+from collections import Counter
+
 import pytest
 
+from polychrome import pipelines
 from polychrome.charmap import bad_faces, oriented_valid, preset
 from polychrome.generators import dual_cyclic
 from polychrome.pipelines import replay_bad_history, reproduce
 from polychrome.polytope import InvariantError, validate
-from polychrome.resolution import ResolutionReport, Step, resolve
+from polychrome.resolution import resolve
 
 
 def test_reproduce_rejects_unknown_target():
@@ -75,13 +79,8 @@ def test_replay_detects_divergence():
     L = preset("identity-first", P)
     report = resolve(P, L)
     step = report.steps[0]
-    tampered = ResolutionReport(
-        report.initial_bad_count,
-        (Step(step.face, step.circuit_size, step.new_facet_index,
-              step.chosen_vector ^ 1, step.vertices_removed, step.vertices_added),),
-        report.final_polytope,
-        report.final_map,
-        report.terminated,
+    tampered = dataclasses.replace(
+        report, steps=(dataclasses.replace(step, chosen_vector=step.chosen_vector ^ 1),)
     )
     with pytest.raises(InvariantError, match="replay"):
         replay_bad_history(P, L, tampered)
@@ -94,3 +93,27 @@ def test_replay_history_counts(main2_run):
     history = replay_bad_history(P0, L0, result.report)
     assert len(history) == len(result.report.steps) + 1
     assert [len(h) for h in history] == list(range(8, -1, -1))
+
+
+@pytest.mark.parametrize("run, dim, facets, decoration", [
+    ("main_run", 4, 15, "paper-example"),
+    ("main2_run", 4, 8, "odd-bijection"),
+    ("main3_run", 5, 16, "odd-bijection"),
+])
+def test_step_histograms_match_replay(request, run, dim, facets, decoration):
+    result, _ = request.getfixturevalue(run)
+    P0 = dual_cyclic(dim, facets)
+    history = replay_bad_history(P0, preset(decoration, P0), result.report)
+    for step, state in zip(result.report.steps, history):
+        assert step.bad_by_size == tuple(sorted(Counter(b.circuit_size for b in state).items()))
+    assert history[-1] == []
+
+
+def test_reproduce_does_not_replay(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reproduce replayed the resolution")
+
+    monkeypatch.setattr(pipelines, "replay_bad_history", refuse)
+    result = reproduce("main2")
+    assert result.ok
+    assert result.summary["observed_circuit_sizes"] == {"4": 36}

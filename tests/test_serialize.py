@@ -145,3 +145,32 @@ def test_report_terminated_value_checked(fixtures):
 def test_dumps_is_canonical():
     # keys sorted, indent 2, trailing newline
     assert dumps({"b": 1, "a": [1, 2]}) == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
+
+
+@pytest.mark.parametrize("bad_by_size", [
+    [3, 14],                 # flat, not pairs
+    [[3, 14, 1]],            # a triple
+    [[3]],                   # a single
+    [[3, True]],             # a bool is not an int
+    [["3", 14]],             # a string is not an int
+    [[3, 14.0]],             # a float is not an int
+    "[[3, 14]]",             # not a list
+])
+def test_report_bad_by_size_shape_checked(fixtures, bad_by_size):
+    tmp, _, _, report = fixtures
+    path = tmp / "report.json"
+    save_report(report, path)
+    data = json.loads(path.read_text())
+    data["steps"][0]["bad_by_size"] = bad_by_size
+    with pytest.raises(SchemaError, match=r"report\.steps\[0\]\.bad_by_size"):
+        report_from_dict(data)
+
+
+def test_report_without_bad_by_size_rejected(fixtures):
+    tmp, _, _, report = fixtures
+    path = tmp / "report.json"
+    save_report(report, path)
+    data = json.loads(path.read_text())
+    del data["steps"][0]["bad_by_size"]
+    with pytest.raises(SchemaError, match="missing"):
+        report_from_dict(data)
