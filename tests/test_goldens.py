@@ -2,7 +2,9 @@
 
 The files in tests/goldens/ pin what a user sees: the `reproduce` summaries
 as JSON and as tables, `check` and `fvector` on the reference decoration,
-the demos' standard output, and the `resolve --trace` files. A refactor must
+`check` on a map with rank-deficiency-2 vertices, the polytope files `gen
+dual-cyclic` writes in an even and an odd dimension, the demos' standard
+output, and the `resolve --trace` files. A refactor must
 leave every one of them identical. Traces are compared without the per-step
 `bad_by_size` field, which the goldens predate.
 
@@ -36,6 +38,12 @@ def _stdout(fn, *args) -> str:
 
 def _cli(*argv) -> str:
     return _stdout(main, list(argv))
+
+
+def _gen(tmp: Path, dim: int, facets: int) -> str:
+    poly = tmp / f"dc-{dim}-{facets}.json"
+    _cli("gen", "dual-cyclic", "--dim", str(dim), "--facets", str(facets), "-o", str(poly))
+    return poly.read_bytes().decode("utf-8")
 
 
 def _inputs(tmp: Path, dim: int, facets: int, preset: str) -> tuple[str, str]:
@@ -76,6 +84,11 @@ CASES = {
     "check-dc4-15-paper-example.txt": lambda tmp: _cli(
         "check", *_inputs(tmp, 4, 15, "paper-example")
     ),
+    "check-dc5-12-identity-first.json": lambda tmp: _cli(
+        "check", *_inputs(tmp, 5, 12, "identity-first"), "--format", "json"
+    ),
+    "gen-dc6-13.json": lambda tmp: _gen(tmp, 6, 13),
+    "gen-dc7-12.json": lambda tmp: _gen(tmp, 7, 12),
     "fvector-dc4-15.json": lambda tmp: _cli(
         "fvector", _inputs(tmp, 4, 15, "paper-example")[0], "--format", "json"
     ),
