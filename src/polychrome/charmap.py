@@ -95,7 +95,7 @@ def bad_faces(P: Polytope, L: CharMap) -> list[BadFace]:
     hits: dict[tuple[int, ...], tuple[int, ...]] = {}
     for V in P.vertices:
         vecs = [L.vectors[i] for i in V]
-        if gf2.rank(vecs, L.n) == P.dim:
+        if gf2._rank(vecs) == P.dim:
             continue
         for circuit in gf2.circuits(vecs, L.n):
             face = tuple(V[i] for i in circuit)

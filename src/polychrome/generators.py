@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import itertools
-
 from .polytope import InvariantError, Polytope, default_labels, validate
 
 
@@ -12,26 +10,25 @@ def segment() -> Polytope:
     return Polytope(1, default_labels(2), ((0,), (1,)))
 
 
-def _gale(subset: tuple[int, ...], m: int) -> bool:
-    """Gale's evenness condition for a sorted subset of {0, ..., m-1}.
+def _gale_even(m: int, start: int, left: int):
+    """The left-subsets of {start, ..., m-1} that complete a Gale-even subset.
 
-    Equivalent to the pairwise form (any two non-members enclose an even
-    number of members): every maximal run of consecutive members touching
-    neither 0 nor m-1 must have even length.
+    Built run by run: every maximal run of consecutive members touching
+    neither 0 nor m-1 has even length. start - 1 is not a member. A run is
+    placed only where the remaining members still fit, so every branch
+    yields a subset.
     """
-    run_start = run_end = None
-    for x in subset:
-        if run_end is not None and x == run_end + 1:
-            run_end = x
-            continue
-        if run_start is not None and run_start > 0 and run_end < m - 1:
-            if (run_end - run_start + 1) % 2:
-                return False
-        run_start = run_end = x
-    if run_start is not None and run_start > 0 and run_end < m - 1:
-        if (run_end - run_start + 1) % 2:
-            return False
-    return True
+    for x in range(start, m - left + 1):
+        for length in range(1, left + 1):
+            end = x + length
+            if x > 0 and end < m and length % 2:
+                continue
+            run = tuple(range(x, end))
+            if length == left:
+                yield run
+            elif x < m - left:
+                for rest in _gale_even(m, end + 1, left - length):
+                    yield run + rest
 
 
 def dual_cyclic(n: int, m: int) -> Polytope:
@@ -39,13 +36,14 @@ def dual_cyclic(n: int, m: int) -> Polytope:
 
     Facet i corresponds to the i-th point along the moment curve; the
     vertices are exactly the n-subsets of {0, ..., m-1} satisfying Gale's
-    evenness condition.
+    evenness condition. They are generated directly, not filtered from all
+    C(m, n) subsets, and the result is validated in full.
     """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
     if m <= n:
         raise ValueError(f"need more facets than the dimension, got m={m} <= n={n}")
-    verts = tuple(c for c in itertools.combinations(range(m), n) if _gale(c, m))
+    verts = tuple(_gale_even(m, 0, n))
     P = Polytope(n, default_labels(m), verts)
     diags = validate(P)
     if diags:

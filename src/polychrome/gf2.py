@@ -7,7 +7,6 @@ instance this library targets fits in a handful of bits.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Sequence
 
 MAX_WIDTH = 16
@@ -35,13 +34,18 @@ def _insert(pivots: dict[int, int], v: int) -> int:
     return 0
 
 
-def rank(vectors: Sequence[int], n: int) -> int:
-    """GF(2) rank of the vectors, by Gaussian elimination on bitmasks."""
-    _check(vectors, n)
+def _rank(vectors: Iterable[int]) -> int:
+    """rank() without the width check, for vectors already known to fit."""
     pivots: dict[int, int] = {}
     for v in vectors:
         _insert(pivots, v)
     return len(pivots)
+
+
+def rank(vectors: Sequence[int], n: int) -> int:
+    """GF(2) rank of the vectors, by Gaussian elimination on bitmasks."""
+    _check(vectors, n)
+    return _rank(vectors)
 
 
 def is_independent(vectors: Sequence[int], n: int) -> bool:
@@ -70,32 +74,41 @@ def parity(v: int) -> int:
 
 
 def circuits(vectors: Sequence[int], n: int) -> list[tuple[int, ...]]:
-    """All inclusion-minimal index subsets whose vectors XOR to zero.
+    """All inclusion-minimal index subsets whose vectors XOR to zero, sorted.
 
-    Exhaustive subset enumeration: inputs are vertex-sized (at most a handful
-    of vectors), so this is trivially correct and fast enough. Zero vectors
-    are rejected; each would be a singleton circuit and never occurs in a
-    characteristic map.
+    One elimination tracks, as an index bitmask, which inputs combine into
+    each pivot row; every input that reduces to zero closes a kernel basis
+    element. The zero-XOR subsets are the 2^d - 1 nonzero kernel elements,
+    d being the rank deficiency, and the circuits are their minimal
+    supports. Zero vectors are rejected; each would be a singleton circuit
+    and never occurs in a characteristic map.
     """
     vecs = list(vectors)
     _check(vecs, n)
+    pivots: dict[int, tuple[int, int]] = {}
+    basis: list[int] = []
     for i, v in enumerate(vecs):
         if v == 0:
             raise ValueError(f"zero vector at index {i}")
-    found: list[tuple[int, ...]] = []
-    for size in range(2, len(vecs) + 1):
-        for combo in itertools.combinations(range(len(vecs)), size):
-            acc = 0
-            for i in combo:
-                acc ^= vecs[i]
-            if acc:
-                continue
-            cset = set(combo)
-            # scanning by increasing size, so earlier hits are the minimal ones
-            if any(set(c) <= cset for c in found):
-                continue
-            found.append(combo)
-    return sorted(found)
+        combo = 1 << i
+        while v:
+            p = v.bit_length() - 1
+            if p not in pivots:
+                pivots[p] = (v, combo)
+                break
+            row, row_combo = pivots[p]
+            v ^= row
+            combo ^= row_combo
+        else:
+            basis.append(combo)
+    kernel = [0]
+    for b in basis:
+        kernel += [k ^ b for k in kernel]
+    found: list[int] = []
+    for s in sorted(kernel[1:], key=int.bit_count):
+        if not any(c & s == c for c in found):
+            found.append(s)
+    return sorted(tuple(i for i in range(len(vecs)) if s >> i & 1) for s in found)
 
 
 def vector_str(v: int) -> str:

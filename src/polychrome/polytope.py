@@ -100,15 +100,13 @@ def validate(P: Polytope) -> list[str]:
             )
 
     # each edge (codim n-1 face) must have exactly two endpoints
-    ridge_count: Counter = Counter()
-    for V in set(well_formed):
-        for S in itertools.combinations(V, n - 1):
-            ridge_count[S] += 1
-    for S, count in sorted(ridge_count.items()):
-        if count != 2:
-            diags.append(
-                f"edge-condition: facets {list(S)} lie on {count} common vertices, expected 2"
-            )
+    ridge_count = Counter(
+        S for V in set(well_formed) for S in itertools.combinations(V, n - 1)
+    )
+    for S, count in sorted((S, c) for S, c in ridge_count.items() if c != 2):
+        diags.append(
+            f"edge-condition: facets {list(S)} lie on {count} common vertices, expected 2"
+        )
     return diags
 
 

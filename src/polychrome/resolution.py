@@ -61,7 +61,7 @@ def resolution_vector(P: Polytope, L: CharMap, S) -> int:
     for w in range(1, 1 << L.n):
         if L.mode == "oriented" and not gf2.parity(w):
             continue
-        if all(gf2.is_independent(vecs + [w], L.n) for vecs in retained):
+        if all(gf2._rank(vecs + [w]) == L.n for vecs in retained):
             return w
     raise NoVectorFound(face)
 

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 
@@ -41,8 +42,8 @@ def test_dual_cyclic_4_vertex_count_formula():
 
 
 def test_gale_filter_matches_pairwise_oracle():
-    for n in range(2, 6):
-        for m in range(n + 1, 10):
+    for n in range(2, 9):
+        for m in range(n + 1, 15):
             P = dual_cyclic(n, m)
             expected = {
                 S
@@ -50,6 +51,25 @@ def test_gale_filter_matches_pairwise_oracle():
                 if gale_pairwise(S, m)
             }
             assert set(P.vertices) == expected
+
+
+def cyclic_facet_count(n: int, m: int) -> int:
+    """Facets of the cyclic polytope C^n(m), by the closed form."""
+    k = n // 2
+    if n % 2:
+        return 2 * math.comb(m - k - 1, k)
+    return m * math.comb(m - k, k) // (m - k)
+
+
+def test_dual_cyclic_vertex_count_is_cyclic_facet_count():
+    for n in range(2, 10):
+        for m in range(n + 1, 25):
+            assert len(dual_cyclic(n, m).vertices) == cyclic_facet_count(n, m), (n, m)
+    for (n, m), count in {(6, 32): 4032, (5, 31): 756, (7, 20): 1120}.items():
+        P = dual_cyclic(n, m)
+        assert len(P.vertices) == cyclic_facet_count(n, m) == count
+        # with the count, distinct Gale-even vertices make the full set
+        assert all(gale_pairwise(V, m) for V in P.vertices)
 
 
 def test_dual_cyclic_5_16():

@@ -75,6 +75,13 @@ def test_circuits_rejects_zero_vector():
         gf2.circuits([1, 0, 2], 4)
 
 
+def test_circuits_rejects_overwide_vectors():
+    with pytest.raises(ValueError, match="does not fit"):
+        gf2.circuits([1, 16, 2], 4)
+    with pytest.raises(ValueError, match="width"):
+        gf2.circuits([1], 17)
+
+
 def test_circuits_multiple_and_sorted():
     # 1^2^3 = 0, 1^4^5 = 0, and their symmetric difference; lexicographic output
     vecs = [1, 2, 3, 4, 5]

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from polychrome.generators import dual_cyclic, product, segment
@@ -37,6 +39,22 @@ def test_validate_edge_condition():
     P = Polytope(2, pent.facet_labels, pent.vertices + ((0, 2),))
     diags = validate(P)
     assert any(d.startswith("edge-condition") for d in diags)
+
+
+def test_validate_lists_failing_edges_in_sorted_order():
+    # every other vertex of dc(4, 10) removed: many edges lose an endpoint
+    full = dual_cyclic(4, 10)
+    P = Polytope(4, full.facet_labels, full.vertices[::2])
+    expected = []
+    for S in itertools.combinations(range(10), 3):
+        count = sum(1 for V in P.vertices if set(S) <= set(V))
+        if count not in (0, 2):
+            expected.append(
+                f"edge-condition: facets {list(S)} lie on {count} common vertices, expected 2"
+            )
+    diags = [d for d in validate(P) if d.startswith("edge-condition")]
+    assert len(expected) > 10
+    assert diags == expected
 
 
 def test_validate_vertex_arity_and_range():

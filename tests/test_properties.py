@@ -1,4 +1,4 @@
-from hypothesis import given, settings
+from hypothesis import example, given, settings, target
 from hypothesis import strategies as st
 
 from polychrome import gf2
@@ -48,6 +48,26 @@ def test_rank_invariant_under_elementary_row_operation(case, data):
 @settings(max_examples=300)
 def test_circuits_match_bruteforce(case):
     vecs, n = case
+    assert gf2.circuits(vecs, n) == circuits_bruteforce(vecs)
+
+
+@st.composite
+def vectors_with_repeats(draw):
+    """Up to 9 nonzero vectors of width at most 5, some of them repeated."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    distinct = draw(
+        st.lists(st.integers(min_value=1, max_value=(1 << n) - 1), min_size=1, max_size=9)
+    )
+    copies = draw(st.lists(st.sampled_from(distinct), max_size=9 - len(distinct)))
+    return draw(st.permutations(distinct + copies)), n
+
+
+@given(vectors_with_repeats())
+@example(([1] * 9, 1))
+@example(([1, 2, 3, 4, 5, 6, 7, 8, 9], 4))
+def test_circuits_match_bruteforce_at_high_rank_deficiency(case):
+    vecs, n = case
+    target(len(vecs) - gf2.rank(vecs, n))
     assert gf2.circuits(vecs, n) == circuits_bruteforce(vecs)
 
 

@@ -189,3 +189,17 @@ def test_created_vertices_are_nonsingular_at_creation():
             if new_index in V:
                 assert is_nonsingular_at(Q, M, V)
         P, L = Q, M
+
+
+def test_resolve_leaves_the_checked_rank_to_callers(monkeypatch):
+    # CharMap validates every width once; the per-vertex rank tests of
+    # bad_faces and resolution_vector skip gf2's argument check
+    def checked(*args):
+        raise AssertionError("checked gf2 call on a hot path")
+
+    P = dual_cyclic(4, 15)
+    L = preset("paper-example", P)
+    monkeypatch.setattr(gf2, "rank", checked)
+    monkeypatch.setattr(gf2, "is_independent", checked)
+    report = resolve(P, L)
+    assert (report.terminated, len(report.steps)) == ("success", 31)
