@@ -40,15 +40,14 @@ def _cli(*argv) -> str:
     return _stdout(main, list(argv))
 
 
-def _gen(tmp: Path, dim: int, facets: int) -> str:
+def _gen(tmp: Path, dim: int, facets: int) -> Path:
     poly = tmp / f"dc-{dim}-{facets}.json"
     _cli("gen", "dual-cyclic", "--dim", str(dim), "--facets", str(facets), "-o", str(poly))
-    return poly.read_bytes().decode("utf-8")
+    return poly
 
 
 def _inputs(tmp: Path, dim: int, facets: int, preset: str) -> tuple[str, str]:
-    poly, cmap = tmp / f"dc-{dim}-{facets}.json", tmp / f"{preset}.json"
-    _cli("gen", "dual-cyclic", "--dim", str(dim), "--facets", str(facets), "-o", str(poly))
+    poly, cmap = _gen(tmp, dim, facets), tmp / f"{preset}.json"
     _cli("decorate", str(poly), "--preset", preset, "-o", str(cmap))
     return str(poly), str(cmap)
 
@@ -87,8 +86,8 @@ CASES = {
     "check-dc5-12-identity-first.json": lambda tmp: _cli(
         "check", *_inputs(tmp, 5, 12, "identity-first"), "--format", "json"
     ),
-    "gen-dc6-13.json": lambda tmp: _gen(tmp, 6, 13),
-    "gen-dc7-12.json": lambda tmp: _gen(tmp, 7, 12),
+    "gen-dc6-13.json": lambda tmp: _gen(tmp, 6, 13).read_bytes().decode("utf-8"),
+    "gen-dc7-12.json": lambda tmp: _gen(tmp, 7, 12).read_bytes().decode("utf-8"),
     "fvector-dc4-15.json": lambda tmp: _cli(
         "fvector", _inputs(tmp, 4, 15, "paper-example")[0], "--format", "json"
     ),
