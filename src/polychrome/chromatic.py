@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .charmap import CharMap, induced_coloring
+from .charmap import CharMap, _check_aligned
 from .polytope import Polytope, facet_adjacency
 
 DEFAULT_TIME_BUDGET = 10.0
@@ -254,10 +254,8 @@ def chromatic_number(
     bound; budget exhaustion downgrades the status to bounds_only rather
     than raising.
     """
-    adj = adjacency_masks(facet_adjacency(P))
     hints: list[Sequence[int]] = []
     if hint is not None:
-        col = induced_coloring(P, hint)
-        if col.proper:
-            hints.append(col.colors)
-    return _certify(adj, hints, time_budget)
+        _check_aligned(P, hint)
+        hints.append(hint.vectors)  # _certify keeps it only if proper
+    return _certify(adjacency_masks(facet_adjacency(P)), hints, time_budget)

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from .polytope import InvariantError, Polytope, default_labels, validate
+from .polytope import Polytope, default_labels, require_valid
 
 
 def segment() -> Polytope:
@@ -43,20 +43,14 @@ def dual_cyclic(n: int, m: int) -> Polytope:
         raise ValueError(f"dimension must be at least 2, got {n}")
     if m <= n:
         raise ValueError(f"need more facets than the dimension, got m={m} <= n={n}")
-    verts = tuple(_gale_even(m, 0, n))
-    P = Polytope(n, default_labels(m), verts)
-    diags = validate(P)
-    if diags:
-        raise InvariantError(f"dual_cyclic({n}, {m}) is broken: " + "; ".join(diags))
-    return P
+    P = Polytope(n, default_labels(m), tuple(_gale_even(m, 0, n)))
+    return require_valid(P, f"dual_cyclic({n}, {m}) is broken: ")
 
 
 def product(P: Polytope, Q: Polytope) -> Polytope:
     """Cartesian product: P's facets first, then Q's shifted by P's count."""
     for name, X in (("left", P), ("right", Q)):
-        diags = validate(X)
-        if diags:
-            raise InvariantError(f"{name} factor is invalid: " + "; ".join(diags))
+        require_valid(X, f"{name} factor is invalid: ")
     offset = P.num_facets
     verts = tuple(
         VP + tuple(q + offset for q in VQ)
@@ -64,7 +58,4 @@ def product(P: Polytope, Q: Polytope) -> Polytope:
         for VQ in Q.vertices
     )
     result = Polytope(P.dim + Q.dim, P.facet_labels + Q.facet_labels, verts)
-    diags = validate(result)
-    if diags:
-        raise InvariantError("product is broken: " + "; ".join(diags))
-    return result
+    return require_valid(result, "product is broken: ")

@@ -55,14 +55,6 @@ def default_labels(m: int) -> tuple[str, ...]:
     return tuple(f"F{i}" for i in range(m))
 
 
-def make_polytope(dim: int, num_facets: int, vertices, facet_labels=None) -> Polytope:
-    if facet_labels is None:
-        facet_labels = default_labels(num_facets)
-    if len(facet_labels) != num_facets:
-        raise ValueError(f"expected {num_facets} labels, got {len(facet_labels)}")
-    return Polytope(dim, tuple(facet_labels), tuple(tuple(v) for v in vertices))
-
-
 def validate(P: Polytope) -> list[str]:
     """Structural diagnostics; an empty list means every invariant holds.
 
@@ -110,15 +102,28 @@ def validate(P: Polytope) -> list[str]:
     return diags
 
 
-def is_face(P: Polytope, S) -> bool:
-    """True iff the facets of S meet in at least one vertex, i.e. S names a face."""
+def require_valid(P: Polytope, what: str) -> Polytope:
+    """P itself, or InvariantError(what + its diagnostics) if validate finds any."""
+    diags = validate(P)
+    if diags:
+        raise InvariantError(what + "; ".join(diags))
+    return P
+
+
+def hosts(P: Polytope, S) -> list[tuple[int, ...]]:
+    """The vertices lying on the face S, in vertex order; empty iff S is no face."""
     fs = frozenset(S)
     if not fs:
         raise ValueError("face set must be nonempty")
     for i in fs:
         if i < 0 or i >= P.num_facets:
             raise ValueError(f"facet index {i} out of range [0, {P.num_facets})")
-    return any(fs <= vs for vs in P._vertex_sets)
+    return [V for V, vs in zip(P.vertices, P._vertex_sets) if fs <= vs]
+
+
+def is_face(P: Polytope, S) -> bool:
+    """True iff the facets of S meet in at least one vertex, i.e. S names a face."""
+    return bool(hosts(P, S))
 
 
 def faces_of_codim(P: Polytope, k: int) -> list[tuple[int, ...]]:
@@ -173,22 +178,15 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, int]:
     k = len(face)
     if k < 2 or k > P.dim:
         raise ValueError(f"can only truncate faces of codimension 2..{P.dim}, got {k} facets")
-    if not is_face(P, face):
+    on = hosts(P, face)
+    if not on:
         raise ValueError(f"{list(face)} is not a face of the polytope")
 
     new_index = P.num_facets
     label = "T(" + ",".join(P.facet_labels[i] for i in face) + ")"
-    fset = set(face)
-    kept = [V for V in P.vertices if not fset <= set(V)]
-    hosts = [V for V in P.vertices if fset <= set(V)]
-    created = sorted(
-        {tuple(sorted((set(V) - {s}) | {new_index})) for V in hosts for s in face}
-    )
-
-    result = Polytope(P.dim, P.facet_labels + (label,), tuple(kept) + tuple(created))
-    diags = validate(result)
-    if diags:
-        raise InvariantError(
-            f"truncating {list(face)} broke the polytope: " + "; ".join(diags)
-        )
-    return result, new_index
+    gone = set(on)
+    kept = tuple(V for V in P.vertices if V not in gone)
+    # new_index exceeds every old index, so appending it keeps each vertex sorted
+    created = tuple(tuple(x for x in V if x != s) + (new_index,) for V in on for s in face)
+    result = Polytope(P.dim, P.facet_labels + (label,), kept + created)
+    return require_valid(result, f"truncating {list(face)} broke the polytope: "), new_index

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .charmap import CharMap, bad_faces
-from .polytope import InvariantError, Polytope, is_face, truncate_face
+from .polytope import InvariantError, Polytope, hosts, truncate_face
 
 TERMINATED = ("success", "budget_exhausted", "no_vector_found")
 
@@ -52,12 +52,10 @@ def resolution_vector(P: Polytope, L: CharMap, S) -> int:
     restricted to odd-weight vectors when the map is oriented.
     """
     face = tuple(sorted(set(S)))
-    if not is_face(P, face):
+    on = hosts(P, face)
+    if not on:
         raise ValueError(f"{list(face)} is not a face of the polytope")
-    hosts = [V for V in P.vertices if set(face) <= set(V)]
-    retained = [
-        [L.vectors[i] for i in V if i != s] for V in hosts for s in face
-    ]
+    retained = [[L.vectors[i] for i in V if i != s] for V in on for s in face]
     for w in range(1, 1 << L.n):
         if L.mode == "oriented" and not gf2.parity(w):
             continue
@@ -93,7 +91,7 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
         except NoVectorFound:
             terminated = "no_vector_found"
             break
-        removed = sum(1 for V in P.vertices if set(target.face) <= set(V))
+        removed = len(hosts(P, target.face))
         next_P, new_index = truncate_face(P, target.face)
         next_L = L.extended(w)
         added = len(next_P.vertices) - (len(P.vertices) - removed)

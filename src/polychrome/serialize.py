@@ -12,7 +12,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .charmap import CharMap
-from .polytope import InvariantError, Polytope, validate
+from .polytope import Polytope, require_valid
 from .resolution import TERMINATED, ResolutionReport, Step
 
 
@@ -86,11 +86,7 @@ def polytope_from_dict(d) -> Polytope:
         _expect_int_list(row, f"polytope.vertices[{i}]")
         for i, row in enumerate(_expect_list(d["vertices"], "polytope.vertices"))
     )
-    P = Polytope(dim, labels, rows)
-    diags = validate(P)
-    if diags:
-        raise InvariantError("polytope: " + "; ".join(diags))
-    return P
+    return require_valid(Polytope(dim, labels, rows), "polytope: ")
 
 
 def save_polytope(P: Polytope, path) -> None:

@@ -1,5 +1,8 @@
 import random
 
+import pytest
+
+from polychrome.charmap import CharMap
 from polychrome.chromatic import chromatic_number, chromatic_of_graph, max_clique
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.pipelines import reproduce
@@ -47,6 +50,21 @@ def test_hint_closes_the_gap():
     cert = chromatic_number(result.polytope, hint=result.charmap)
     assert cert.chi == 8
     assert cert.status == "exact"
+
+
+def test_improper_hint_gives_the_unhinted_certificate():
+    P = dual_cyclic(4, 8)
+    # one colour for every facet: taken as an upper bound it would undercut the clique
+    one_colour = CharMap(4, (1,) * 8)
+    assert chromatic_number(P, hint=one_colour) == chromatic_number(P)
+
+
+def test_misaligned_hint_is_refused():
+    P = dual_cyclic(4, 8)
+    with pytest.raises(ValueError, match="^map has 7 vectors but the polytope has 8 facets$"):
+        chromatic_number(P, hint=CharMap(4, (1,) * 7))
+    with pytest.raises(ValueError, match="^map width 5 != polytope dimension 4$"):
+        chromatic_number(P, hint=CharMap(5, (1,) * 8))
 
 
 def test_certificate_is_self_consistent():

@@ -4,15 +4,19 @@ import pytest
 
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.polytope import (
+    InvariantError,
     Polytope,
     default_labels,
     f_vector,
     faces_of_codim,
     facet_adjacency,
+    hosts,
     is_face,
+    require_valid,
     truncate_face,
     validate,
 )
+from polychrome.serialize import polytope_from_dict, polytope_to_dict
 
 from .oracles import faces_bruteforce
 
@@ -83,10 +87,55 @@ def test_is_face_known_edge():
 
 def test_is_face_rejects_bad_input():
     P = dual_cyclic(2, 5)
-    with pytest.raises(ValueError):
-        is_face(P, ())
-    with pytest.raises(ValueError):
-        is_face(P, (0, 9))
+    for query in (is_face, hosts):
+        with pytest.raises(ValueError, match="^face set must be nonempty$"):
+            query(P, ())
+        with pytest.raises(ValueError, match=r"^facet index 9 out of range \[0, 5\)$"):
+            query(P, (0, 9))
+        with pytest.raises(ValueError, match=r"^facet index -1 out of range \[0, 5\)$"):
+            query(P, (-1,))
+
+
+def test_hosts_match_the_subset_oracle():
+    cases = [
+        dual_cyclic(4, 8),
+        dual_cyclic(5, 12),
+        truncate_face(dual_cyclic(4, 5), (0, 1, 2))[0],
+        product(dual_cyclic(2, 5), segment()),
+    ]
+    for P in cases:
+        faces = [S for k in range(1, P.dim + 1) for S in faces_of_codim(P, k)]
+        face_set = set(faces)
+        non_faces = [
+            S for S in itertools.combinations(range(P.num_facets), 3) if S not in face_set
+        ] + [tuple(range(P.num_facets))]
+        assert len(non_faces) > 1
+        for S in faces + non_faces:
+            expected = [V for V in P.vertices if set(S) <= set(V)]
+            assert hosts(P, S) == expected, S
+            assert is_face(P, S) == bool(expected)
+
+
+def test_require_valid_returns_the_polytope_or_lists_every_diagnostic():
+    P = dual_cyclic(4, 6)
+    assert require_valid(P, "unused: ") is P
+    doubled = Polytope(P.dim, P.facet_labels, P.vertices + (P.vertices[-1],))
+    diags = "; ".join(validate(doubled))
+    assert diags.startswith("duplicate-vertex")
+    with pytest.raises(InvariantError) as exc:
+        require_valid(doubled, "what: ")
+    assert str(exc.value) == "what: " + diags
+    # each caller keeps its own prefix
+    calls = [
+        ("truncating [0, 1, 2] broke the polytope: ", lambda: truncate_face(doubled, (0, 1, 2))),
+        ("left factor is invalid: ", lambda: product(doubled, segment())),
+        ("right factor is invalid: ", lambda: product(segment(), doubled)),
+        ("polytope: ", lambda: polytope_from_dict(polytope_to_dict(doubled))),
+    ]
+    for prefix, call in calls:
+        with pytest.raises(InvariantError) as exc:
+            call()
+        assert str(exc.value).startswith(prefix + "duplicate-vertex"), str(exc.value)
 
 
 def test_faces_of_codim_counts():

@@ -191,6 +191,14 @@ def test_created_vertices_are_nonsingular_at_creation():
         P, L = Q, M
 
 
+def test_each_host_vertex_yields_one_vertex_per_face_facet(main_run, main2_run, main3_run):
+    for result, _ in (main_run, main2_run, main3_run):
+        assert result.report.steps
+        for step in result.report.steps:
+            assert step.vertices_removed >= 1
+            assert step.vertices_added == step.vertices_removed * len(step.face), step
+
+
 def test_resolve_leaves_the_checked_rank_to_callers(monkeypatch):
     # CharMap validates every width once; the per-vertex rank tests of
     # bad_faces and resolution_vector skip gf2's argument check
