@@ -4,7 +4,10 @@ The files in tests/goldens/ pin what a user sees: the `reproduce` summaries
 as JSON and as tables, `check` and `fvector` on the reference decoration,
 `check` on a map with rank-deficiency-2 vertices, the polytope files `gen
 dual-cyclic` writes in an even and an odd dimension, the demos' standard
-output, and the `resolve --trace` files. A refactor must
+output, the `resolve --trace` files, and the chromatic layer's greedy
+colouring, maximum clique and certificate on seeded random graphs and two
+facet graphs (every branch-and-bound certificate pins the search tree that
+found it). A refactor must
 leave every one of them identical. Traces are compared without the per-step
 `bad_by_size` field, which the goldens predate.
 
@@ -15,18 +18,24 @@ CHANGES.md.
 
 import contextlib
 import io
+import dataclasses
 import json
+import random
 import runpy
 import tempfile
 from pathlib import Path
 
 import pytest
 
+from polychrome.chromatic import chromatic_of_graph, greedy_coloring, max_clique
 from polychrome.cli import main
+from polychrome.generators import dual_cyclic
+from polychrome.polytope import facet_adjacency
 from polychrome.serialize import dumps
 
 GOLDENS = Path(__file__).parent / "goldens"
 DEMOS = Path(__file__).parent.parent / "demos"
+GRAPH_SEED = 20261018
 
 
 def _stdout(fn, *args) -> str:
@@ -67,6 +76,34 @@ def _demo(name: str) -> str:
     return _stdout(runpy.run_path, str(DEMOS / name), None, "__main__")
 
 
+def _graph_certificates(tmp: Path) -> str:
+    """One JSON line per graph: G(n, p) drawn from GRAPH_SEED, then two facet graphs."""
+    rng = random.Random(GRAPH_SEED)
+    graphs = []
+    for n in (20, 30, 40):
+        for p in (0.3, 0.5, 0.7, 0.9):
+            for k in range(2 if n == 40 else 1):
+                edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+                graphs.append((f"G({n},{p})#{k}", n, edges))
+    for dim, facets in ((4, 8), (5, 12)):
+        matrix = facet_adjacency(dual_cyclic(dim, facets))
+        edges = [(u, v) for u in range(facets) for v in range(u + 1, facets) if matrix[u][v]]
+        graphs.append((f"facets of dc({dim},{facets})", facets, edges))
+    lines = []
+    for name, n, edges in graphs:
+        adj = [0] * n
+        for u, v in edges:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+        lines.append(json.dumps({
+            "graph": name,
+            "greedy_coloring": greedy_coloring(adj),
+            "max_clique": max_clique(adj),
+            "certificate": dataclasses.asdict(chromatic_of_graph(n, edges)),
+        }, sort_keys=True))
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
 CASES = {
     "reproduce-main.json": lambda tmp: _cli("reproduce", "main", "--format", "json"),
     "reproduce-main.txt": lambda tmp: _cli("reproduce", "main"),
@@ -93,6 +130,7 @@ CASES = {
     ),
     "fvector-dc4-15.txt": lambda tmp: _cli("fvector", _inputs(tmp, 4, 15, "paper-example")[0]),
     "demo-worked_example.txt": lambda tmp: _demo("worked_example.py"),
+    "graph-certificates.json": _graph_certificates,
     "demo-oriented_small_covers.txt": lambda tmp: _demo("oriented_small_covers.py"),
     "demo-surgery_and_counts.txt": lambda tmp: _demo("surgery_and_counts.py"),
     "trace-dc4-15-paper-example.json": lambda tmp: _trace(tmp, 4, 15, "paper-example"),
