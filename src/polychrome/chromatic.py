@@ -2,8 +2,11 @@
 
 The polytopes built here carry huge cliques (every pair of original facets
 meets), so the clique bound usually certifies the greedy or hinted coloring
-immediately; branch-and-bound coloring is the fallback that closes any gap.
-Adjacency is kept as per-node bitmasks, which Python ints make unbounded.
+immediately; DSATUR branch and bound is the fallback that closes any gap.
+Adjacency and search state are int bitmasks, which Python ints make unbounded.
+Both searches run from an explicit stack, so graph size sets no recursion
+limit, and both read the certificate's deadline every 256 nodes; a search cut
+short leaves a bounds_only certificate with the bounds it reached.
 """
 
 from __future__ import annotations
@@ -35,126 +38,140 @@ def _bits(mask: int):
         mask ^= low
 
 
-def max_clique(adj: list[int]) -> list[int]:
-    """Exact maximum clique by branch and bound with a greedy-coloring bound."""
-    best: list[int] = []
+def _past(deadline: float | None, nodes: int) -> bool:
+    """Read the clock at the first node and then every 256 nodes."""
+    return deadline is not None and nodes & 255 == 1 and time.monotonic() > deadline
+
+
+def max_clique(adj: list[int], deadline: float | None = None) -> list[int]:
+    """Exact maximum clique by branch and bound with a greedy-coloring bound.
+
+    Past the deadline the search stops as soon as it holds a clique (its
+    first descent reaches a maximal one) and returns the best found so far.
+    """
 
     def colour_order(cand: int) -> list[tuple[int, int]]:
-        # greedy colour classes over the candidates; a k-colouring of the
-        # candidate set bounds any clique inside it by k
-        classes: list[int] = []
-        ordered: list[tuple[int, int]] = []
-        for v in _bits(cand):
-            for ci in range(len(classes)):
-                if not adj[v] & classes[ci]:
-                    classes[ci] |= 1 << v
-                    ordered.append((v, ci + 1))
-                    break
-            else:
-                classes.append(1 << v)
-                ordered.append((v, len(classes)))
-        ordered.sort(key=lambda t: t[1])
+        # greedy colour classes of the candidates, each filled lowest node
+        # first; a k-colouring of the candidate set bounds its cliques by k
+        ordered, k = [], 0
+        while cand:
+            k += 1
+            free = cand
+            while free:
+                v = (free & -free).bit_length() - 1
+                ordered.append((v, k))
+                cand &= ~(1 << v)
+                free &= ~adj[v] & ~(1 << v)
         return ordered
 
-    def expand(stack: list[int], cand: int) -> None:
-        nonlocal best
-        if not cand:
-            if len(stack) > len(best):
-                best = stack[:]
-            return
-        for v, bound in reversed(colour_order(cand)):
-            if len(stack) + bound <= len(best):
-                return
-            stack.append(v)
-            expand(stack, cand & adj[v])
-            stack.pop()
-            cand &= ~(1 << v)
-
-    expand([], (1 << len(adj)) - 1 if adj else 0)
+    best: list[int] = []
+    clique: list[int] = []
+    full = (1 << len(adj)) - 1
+    # frames[i]: the candidate mask beside clique[:i] and its nodes still to
+    # branch on, highest colour bound last
+    frames = [[full, colour_order(full)]] if adj else []
+    late, nodes = False, 0
+    while frames:
+        nodes += 1
+        late = late or _past(deadline, nodes)
+        frame = frames[-1]
+        cand, order = frame
+        if not order or len(clique) + order[-1][1] <= len(best) or (late and best):
+            frames.pop()
+            if clique:
+                clique.pop()
+            continue
+        v = order.pop()[0]
+        frame[0] = cand & ~(1 << v)
+        clique.append(v)
+        if cand & adj[v]:
+            frames.append([cand & adj[v], colour_order(cand & adj[v])])
+            continue
+        if len(clique) > len(best):
+            best = clique[:]
+        clique.pop()
     return sorted(best)
 
 
 def greedy_coloring(adj: list[int]) -> list[int]:
-    """DSATUR greedy: colour the most saturated node first, smallest colour wins."""
-    n = len(adj)
-    colors = [-1] * n
-    sat: list[set[int]] = [set() for _ in range(n)]
-    degree = [adj[v].bit_count() for v in range(n)]
-    for _ in range(n):
-        v = max(
-            (u for u in range(n) if colors[u] < 0),
-            key=lambda u: (len(sat[u]), degree[u], -u),
-        )
-        c = 0
-        while c in sat[v]:
-            c += 1
-        colors[v] = c
-        for u in _bits(adj[v]):
-            if colors[u] < 0:
-                sat[u].add(c)
-    return colors
+    """DSATUR greedy: the first leaf of the DSATUR search, with nothing to beat."""
+    # n colours always suffice, so a lower bound of n stops at the first leaf
+    return _dsatur(adj, (), len(adj) + 1, len(adj), None)[0]
 
 
-def _exact_coloring(
+def _dsatur(
     adj: list[int],
     clique: Sequence[int],
-    start: list[int],
+    best_k: int,
     lower: int,
-    deadline: float,
-) -> tuple[list[int], bool]:
-    """DSATUR branch and bound below the incumbent colouring.
+    deadline: float | None,
+) -> tuple[list[int] | None, bool]:
+    """DSATUR branch and bound (Brélaz) for a colouring with fewer than best_k colours.
 
-    Returns (best colouring found, proven) where proven means the search
-    finished inside the deadline, so the result is optimal.
+    Branches on the uncoloured node with the most distinct neighbour colours,
+    then the highest degree, then the lowest index; tries colours smallest
+    first. Precolouring the clique 0, 1, ... loses no colouring and kills the
+    colour-permutation blowup. Returns (best colouring or None, finished in time).
     """
     n = len(adj)
-    best = list(start)
-    best_k = len(set(best))
-    if best_k == lower:
-        return best, True
-    colors = [-1] * n
-    sat: list[set[int]] = [set() for _ in range(n)]
-    degree = [adj[v].bit_count() for v in range(n)]
-    # clique nodes need pairwise-distinct colours in any solution, so fixing
-    # them up front loses no colouring and kills the colour-permutation blowup
-    for ci, v in enumerate(clique):
-        colors[v] = ci
-        for u in _bits(adj[v]):
-            if colors[u] < 0:
-                sat[u].add(ci)
-    timed_out = False
-
-    def rec(used: int) -> None:
-        nonlocal best, best_k, timed_out
-        if timed_out or best_k == lower:
-            return
-        if time.monotonic() > deadline:
-            timed_out = True
-            return
-        uncolored = [u for u in range(n) if colors[u] < 0]
-        if not uncolored:
+    # relabelled by (degree descending, index ascending), the node to branch
+    # on is the lowest bit of the highest non-empty saturation bucket
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    rank = {v: r for r, v in enumerate(order)}
+    radj = [sum(1 << rank[u] for u in _bits(adj[v])) for v in order]
+    colors = [-1] * n  # by rank
+    uncol, near = (1 << n) - 1, []  # near[c]: the nodes next to a node coloured c
+    for c, v in enumerate(clique):
+        colors[rank[v]] = c
+        uncol ^= 1 << rank[v]
+        near.append(radj[rank[v]])
+    buckets = [0] * (len(clique) + 1)  # buckets[s]: the uncoloured nodes of saturation s
+    for r in _bits(uncol):
+        buckets[sum((m >> r) & 1 for m in near)] |= 1 << r
+    best, used, nodes = None, len(clique), 0
+    stack: list[list] = []  # per branching node: used, buckets, near, uncol, node, colour, limit
+    while True:
+        nodes += 1
+        if _past(deadline, nodes):
+            return best, False
+        if not uncol:
             if used < best_k:
-                best_k = used
-                best = colors[:]
-            return
-        v = max(uncolored, key=lambda u: (len(sat[u]), degree[u], -u))
-        for c in range(min(used + 1, best_k - 1)):
-            if c in sat[v]:
+                best_k, best = used, [colors[rank[v]] for v in range(n)]
+                if best_k <= lower:
+                    return best, True
+        else:
+            s = len(buckets) - 1
+            while not buckets[s]:
+                s -= 1
+            v = (buckets[s] & -buckets[s]).bit_length() - 1
+            # the colour limit is fixed on entry, by the incumbent as it stood then
+            stack.append([used, buckets, near, uncol, v, 0, min(used + 1, best_k - 1)])
+        while stack:  # paint the next child, backtracking as needed
+            frame = stack[-1]
+            used, old, near, uncol, v, c, limit = frame
+            while c < used and (near[c] >> v) & 1:
+                c += 1
+            if c >= limit:
+                stack.pop()
                 continue
+            frame[5] = c + 1
+            near = near + [0] if c == used else near[:]
+            used = max(used, c + 1)
+            gain = radj[v] & uncol & ~near[c]
+            near[c] |= radj[v]
             colors[v] = c
-            touched = []
-            for u in _bits(adj[v]):
-                if colors[u] < 0 and c not in sat[u]:
-                    sat[u].add(c)
-                    touched.append(u)
-            rec(max(used, c + 1))
-            colors[v] = -1
-            for u in touched:
-                sat[u].discard(c)
-        return
-
-    rec(len(clique))
-    return best, not timed_out
+            uncol &= ~(1 << v)
+            # v leaves its bucket; its newly saturated neighbours rise by one
+            buckets, moved = [], 0
+            for b in old:
+                rise = b & gain
+                buckets.append((b ^ rise) & uncol | moved)
+                moved = rise
+            if moved:
+                buckets.append(moved)
+            break
+        else:
+            return best, True
 
 
 def _is_proper(adj: list[int], colors: Sequence[int]) -> bool:
@@ -166,12 +183,7 @@ def _is_proper(adj: list[int], colors: Sequence[int]) -> bool:
 def _canonical(colors: Sequence[int]) -> list[int]:
     """Renumber colour ids by first occurrence in node order."""
     remap: dict[int, int] = {}
-    out = []
-    for c in colors:
-        if c not in remap:
-            remap[c] = len(remap)
-        out.append(remap[c])
-    return out
+    return [remap.setdefault(c, len(remap)) for c in colors]
 
 
 def _verify(adj: list[int], cert: ChromaticCertificate) -> None:
@@ -199,7 +211,7 @@ def _certify(
     if n == 0:
         return ChromaticCertificate(0, (), (), "exact", 0, 0)
     deadline = time.monotonic() + time_budget
-    clique = max_clique(adj)
+    clique = max_clique(adj, deadline=deadline)
     lower = len(clique)
     candidates = [greedy_coloring(adj)]
     for h in hints:
@@ -208,19 +220,13 @@ def _certify(
     best = min(candidates, key=lambda c: len(set(c)))
     upper = len(set(best))
     if upper > lower:
-        best, proven = _exact_coloring(adj, clique, best, lower, deadline)
-        upper = len(set(best))
+        found, proven = _dsatur(adj, clique, upper, lower, deadline)
+        if found is not None:
+            best, upper = found, len(set(found))
         if proven:
             lower = upper
     status = "exact" if lower == upper else "bounds_only"
-    cert = ChromaticCertificate(
-        chi=upper,
-        clique=tuple(clique),
-        coloring=tuple(_canonical(best)),
-        status=status,
-        lower=lower,
-        upper=upper,
-    )
+    cert = ChromaticCertificate(upper, tuple(clique), tuple(_canonical(best)), status, lower, upper)
     _verify(adj, cert)
     return cert
 

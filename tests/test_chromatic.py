@@ -1,9 +1,12 @@
 import random
+import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polychrome.charmap import CharMap
-from polychrome.chromatic import chromatic_number, chromatic_of_graph, max_clique
+from polychrome.chromatic import _verify, chromatic_number, chromatic_of_graph, max_clique
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.pipelines import reproduce
 
@@ -124,3 +127,46 @@ def test_random_graphs_match_bruteforce():
         assert cert.status == "exact"
         assert cert.chi == chromatic_bruteforce(n, edges)
         assert is_proper(n, edges, cert.coloring)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(0, 9))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return n, [e for e, k in zip(pairs, keep) if k]
+
+
+@given(small_graphs())
+@settings(max_examples=300)
+def test_certificates_match_bruteforce(graph):
+    n, edges = graph
+    cert = chromatic_of_graph(n, edges)
+    assert cert.status == "exact"
+    assert cert.chi == cert.lower == cert.upper == chromatic_bruteforce(n, edges)
+    assert len(cert.coloring) == n and is_proper(n, edges, cert.coloring)
+    assert len(set(cert.coloring)) == cert.chi
+
+
+def test_long_odd_cycle_is_coloured_without_recursion():
+    # refuting two colours walks the whole cycle, one search level per node
+    n = 1501
+    cert = chromatic_of_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    assert cert.chi == 3
+    assert cert.status == "exact"
+
+
+def test_clique_search_honours_the_budget():
+    rng = random.Random(7)
+    n = 120
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9]
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    t0 = time.monotonic()
+    cert = chromatic_of_graph(n, edges, time_budget=0.5)
+    assert time.monotonic() - t0 < 3
+    assert cert.status == "bounds_only"
+    assert cert.lower == len(cert.clique) < cert.upper
+    _verify(masks, cert)
