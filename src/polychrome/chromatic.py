@@ -69,7 +69,7 @@ def max_clique(adj: list[int], deadline: float | None = None) -> list[int]:
     full = (1 << len(adj)) - 1
     # frames[i]: the candidate mask beside clique[:i] and its nodes still to
     # branch on, highest colour bound last
-    frames = [[full, colour_order(full)]] if adj else []
+    frames = [[full, colour_order(full)]]
     late, nodes = False, 0
     while frames:
         nodes += 1
@@ -129,7 +129,7 @@ def _dsatur(
     for r in _bits(uncol):
         buckets[sum((m >> r) & 1 for m in near)] |= 1 << r
     best, used, nodes = None, len(clique), 0
-    stack: list[list] = []  # per branching node: used, buckets, near, uncol, node, colour, limit
+    stack: list[list] = []  # frames: used, buckets, near, uncol, node, next colour, limit
     while True:
         nodes += 1
         if _past(deadline, nodes):
