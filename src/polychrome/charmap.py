@@ -83,17 +83,18 @@ def is_nonsingular_at(P: Polytope, L: CharMap, V) -> bool:
     return gf2.is_independent([L.vectors[i] for i in key], L.n)
 
 
-def bad_faces(P: Polytope, L: CharMap) -> list[BadFace]:
+def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
     """Every face whose vectors form a minimal dependent circuit.
 
     Works vertex by vertex: a singular vertex contains at least one circuit,
     and each circuit of its vectors spans a face. The same face is usually
     seen from several vertices, so results are deduplicated, keeping the
     lexicographically smallest witness vertex. Sorted by (circuit size, face).
+    Given some of P's vertices, scans only those, so witnesses come from them.
     """
     _check_aligned(P, L)
     hits: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for V in P.vertices:
+    for V in P.vertices if vertices is None else vertices:
         vecs = [L.vectors[i] for i in V]
         if gf2._rank(vecs) == P.dim:
             continue

@@ -198,15 +198,15 @@ def reproduce(target: str) -> ReproduceResult:
     summary["notes"] = notes
 
     cert = chromatic_number(P, hint=L)
-    col = induced_coloring(P, L)
     summary["chi"] = cert.chi
     summary["chi_status"] = cert.status
     summary["chi_lower"] = cert.lower
     summary["chi_upper"] = cert.upper
     summary["clique_size"] = len(cert.clique)
-    summary["colors_used"] = col.colors_used
-    summary["coloring_proper"] = col.proper
-    if not col.proper:
+    summary["colors_used"] = len(set(L.vectors))
+    # with no bad face left every vertex is nonsingular, so adjacent facets differ
+    summary["coloring_proper"] = not remaining or induced_coloring(P, L).proper
+    if not summary["coloring_proper"]:
         failures.append("final induced coloring is not proper")
     if cert.status != "exact":
         failures.append(f"chromatic number not certified exactly: {cert.lower}..{cert.upper}")

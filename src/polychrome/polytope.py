@@ -83,7 +83,7 @@ def validate(P: Polytope) -> list[str]:
         if count > 1:
             diags.append(f"duplicate-vertex: vertex {list(V)} appears {count} times")
 
-    coverage = Counter(i for V in well_formed for i in V)
+    coverage = Counter(itertools.chain.from_iterable(well_formed))
     for i in range(m):
         if coverage[i] < n:
             diags.append(
@@ -92,9 +92,9 @@ def validate(P: Polytope) -> list[str]:
             )
 
     # each edge (codim n-1 face) must have exactly two endpoints
-    ridge_count = Counter(
-        S for V in set(well_formed) for S in itertools.combinations(V, n - 1)
-    )
+    ridge_count = Counter(itertools.chain.from_iterable(
+        map(itertools.combinations, set(well_formed), itertools.repeat(n - 1))
+    ))
     for S, count in sorted((S, c) for S, c in ridge_count.items() if c != 2):
         diags.append(
             f"edge-condition: facets {list(S)} lie on {count} common vertices, expected 2"

@@ -68,12 +68,12 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
     """Repeatedly truncate the worst bad face until none remain.
 
     Selection order is smallest circuit first (so edges go before vertices),
-    ties broken by lexicographically smallest face. Each round removes the
-    selected face's vertices and creates only nonsingular ones, so the
-    bad-face count strictly decreases; that is re-checked every step, and
-    each step records the bad faces it started from by circuit size. On
-    budget exhaustion or a failed vector search the partial state is returned
-    in the report rather than raised.
+    ties broken by lexicographically smallest face. One full scan finds the
+    bad faces. Cutting S removes a face only if it contains S, and circuits
+    never nest, so each cut removes just its target; it creates no bad face
+    either, as resolution_vector keeps every created vertex nonsingular, which
+    a scan of the created vertices re-checks. On budget exhaustion or a failed
+    vector search the partial state is returned in the report, not raised.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -91,19 +91,18 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
         except NoVectorFound:
             terminated = "no_vector_found"
             break
-        removed = len(hosts(P, target.face))
         next_P, new_index = truncate_face(P, target.face)
         next_L = L.extended(w)
-        added = len(next_P.vertices) - (len(P.vertices) - removed)
+        created = [V for V in next_P.vertices if V[-1] == new_index]
+        removed = len(P.vertices) + len(created) - len(next_P.vertices)
         histogram = tuple(sorted(Counter(b.circuit_size for b in bad).items()))
         steps.append(
-            Step(target.face, target.circuit_size, new_index, w, removed, added, histogram)
+            Step(target.face, target.circuit_size, new_index, w, removed, len(created), histogram)
         )
-        next_bad = bad_faces(next_P, next_L)
-        if len(next_bad) >= len(bad):
+        if singular := bad_faces(next_P, next_L, created):
             raise InvariantError(
-                f"bad-face count failed to decrease at step {len(steps)}: "
-                f"{len(bad)} -> {len(next_bad)}"
+                f"step {len(steps)}: cutting {list(target.face)} created the singular vertex "
+                f"{list(singular[0].witness_vertex)} with circuit {list(singular[0].face)}"
             )
-        P, L, bad = next_P, next_L, next_bad
+        P, L, bad = next_P, next_L, bad[1:]
     return ResolutionReport(initial, tuple(steps), P, L, terminated)

@@ -1,7 +1,10 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polychrome.charmap import (
     PAPER_EXAMPLE_VECTORS,
+    BadFace,
     CharMap,
     bad_faces,
     induced_coloring,
@@ -106,6 +109,35 @@ def test_bad_faces_matches_bruteforce(reference_pair):
     expected = bad_faces_bruteforce(P, L)
     got = {b.face: b.witness_vertex for b in bad_faces(P, L)}
     assert got == expected
+
+
+SCANNED = (dual_cyclic(4, 7), dual_cyclic(5, 9), product(dual_cyclic(2, 4), dual_cyclic(2, 5)))
+
+
+@st.composite
+def scanned_subsets(draw):
+    """A decorated polytope (random vectors, repeats allowed) and a shuffled
+    subset of its vertices."""
+    P = draw(st.sampled_from(SCANNED))
+    m = P.num_facets
+    vectors = draw(st.lists(st.integers(1, (1 << P.dim) - 1), min_size=m, max_size=m))
+    subset = draw(st.lists(st.sampled_from(P.vertices), unique=True))
+    return P, CharMap(P.dim, tuple(vectors)), subset
+
+
+@given(scanned_subsets())
+@settings(max_examples=200, deadline=None)
+def test_bad_faces_of_a_vertex_subset(case):
+    P, L, subset = case
+    full = bad_faces(P, L)
+    assert bad_faces(P, L, P.vertices) == full
+    assert bad_faces(P, L, []) == []
+    expected = []
+    for b in full:
+        on = [V for V in subset if set(b.face) <= set(V)]
+        if on:
+            expected.append(BadFace(b.face, b.circuit_size, min(on)))
+    assert bad_faces(P, L, subset) == expected
 
 
 def test_bad_faces_empty_for_product_of_segment_maps():

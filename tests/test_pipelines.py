@@ -117,3 +117,13 @@ def test_reproduce_does_not_replay(monkeypatch):
     result = reproduce("main2")
     assert result.ok
     assert result.summary["observed_circuit_sizes"] == {"4": 36}
+
+
+def test_reproduce_reads_the_coloring_off_a_nonsingular_map(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("reproduce rebuilt the facet adjacency")
+
+    monkeypatch.setattr(pipelines, "induced_coloring", refuse)
+    result = reproduce("main2")
+    assert result.ok
+    assert (result.summary["colors_used"], result.summary["coloring_proper"]) == (8, True)

@@ -1,10 +1,15 @@
-import pytest
+from collections import Counter
+from functools import cache
 
-from polychrome import gf2
-from polychrome.charmap import CharMap, bad_faces, preset, segment_map, stack
+import pytest
+from hypothesis import given, settings, target
+from hypothesis import strategies as st
+
+from polychrome import gf2, resolution
+from polychrome.charmap import CharMap, bad_faces, odd_vectors, preset, segment_map, stack
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.pipelines import replay_bad_history
-from polychrome.polytope import Polytope, default_labels, f_vector, validate
+from polychrome.polytope import InvariantError, Polytope, default_labels, f_vector, validate
 from polychrome.resolution import NoVectorFound, resolution_vector, resolve
 
 
@@ -211,3 +216,91 @@ def test_resolve_leaves_the_checked_rank_to_callers(monkeypatch):
     monkeypatch.setattr(gf2, "is_independent", checked)
     report = resolve(P, L)
     assert (report.terminated, len(report.steps)) == ("success", 31)
+
+
+def test_local_check_names_the_step_face_and_singular_vertex(monkeypatch):
+    # the second cut reuses the vector of the face's first facet, so every
+    # created vertex that keeps that facet carries it twice
+    real = resolution_vector
+    calls = []
+
+    def faulty(P, L, S):
+        calls.append(S)
+        return real(P, L, S) if len(calls) == 1 else L.vectors[S[0]]
+
+    monkeypatch.setattr(resolution, "resolution_vector", faulty)
+    P = dual_cyclic(4, 8)
+    with pytest.raises(InvariantError) as err:
+        resolve(P, preset("odd-bijection", P))
+    assert str(err.value) == (
+        "step 2: cutting [0, 1, 4, 5] created the singular vertex [0, 1, 4, 9] "
+        "with circuit [0, 9]"
+    )
+
+
+def test_resolve_rescans_only_the_created_vertices(monkeypatch):
+    calls = []
+
+    def spy(P, L, vertices=None):
+        calls.append(vertices)
+        return bad_faces(P, L, vertices)
+
+    monkeypatch.setattr(resolution, "bad_faces", spy)
+    P = dual_cyclic(5, 16)
+    report = resolve(P, preset("odd-bijection", P))
+    assert report.terminated == "success" and report.steps
+    assert calls[0] is None
+    scanned = calls[1:]
+    assert len(scanned) == len(report.steps)
+    assert sum(map(len, scanned)) == sum(s.vertices_added for s in report.steps)
+    for step, created in zip(report.steps, scanned):
+        assert len(created) == step.vertices_added
+        assert all(V[-1] == step.new_facet_index for V in created)
+
+
+@cache
+def _small_polytopes():
+    polygons = [dual_cyclic(2, k) for k in (3, 4, 5)]
+    shapes = ((3, 5), (3, 6), (3, 7), (4, 5), (4, 6), (4, 7), (4, 8), (5, 7), (5, 8))
+    items = [dual_cyclic(n, m) for n, m in shapes]
+    items += [product(a, segment()) for a in polygons]
+    items += [product(a, b) for a in polygons for b in polygons if a.num_facets <= b.num_facets]
+    return items
+
+
+@st.composite
+def decorated_polytopes(draw):
+    """A small dual cyclic polytope or polygon product with random vectors,
+    general or oriented, repeats allowed."""
+    P = draw(st.sampled_from(_small_polytopes()))
+    mode = draw(st.sampled_from(("general", "oriented")))
+    pool = odd_vectors(P.dim) if mode == "oriented" else list(range(1, 1 << P.dim))
+    m = P.num_facets
+    if m > len(pool):
+        vectors = draw(st.lists(st.sampled_from(pool), min_size=m, max_size=m))
+    else:
+        # a few repeats on top of distinct vectors: many repeats seldom resolve
+        vectors = draw(st.permutations(pool))[:m]
+        for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
+            vectors[i] = draw(st.sampled_from(pool))
+    return P, CharMap(P.dim, tuple(vectors), mode)
+
+
+@given(decorated_polytopes())
+@settings(max_examples=150, deadline=None)
+def test_each_cut_removes_exactly_its_own_bad_face(case):
+    # the bad faces before step k, recomputed from scratch, are the initial
+    # list from position k on, witnesses included
+    P, L = case
+    report = resolve(P, L)
+    target(len(report.steps))
+    history = replay_bad_history(P, L, report)
+    initial = history[0]
+    assert report.initial_bad_count == len(initial)
+    for k, step in enumerate(report.steps):
+        assert history[k] == initial[k:]
+        assert step.face == initial[k].face
+        by_size = Counter(b.circuit_size for b in history[k])
+        assert step.bad_by_size == tuple(sorted(by_size.items()))
+    assert history[-1] == initial[len(report.steps):]
+    assert (report.terminated == "success") == (history[-1] == [])
