@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import gf2
-from .polytope import InvariantError, Polytope, facet_adjacency
+from .polytope import InvariantError, Polytope
 
 MODES = ("general", "oriented")
 
@@ -109,16 +109,13 @@ def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
 
 
 def induced_coloring(P: Polytope, L: CharMap) -> Coloring:
-    """Facet coloring that uses each facet's vector as its color id."""
+    """Facet coloring that uses each facet's vector as its color id.
+
+    Facets are adjacent iff they share a vertex, so the coloring is proper
+    iff the facets at each vertex carry distinct vectors.
+    """
     _check_aligned(P, L)
-    adj = facet_adjacency(P)
-    m = P.num_facets
-    proper = all(
-        L.vectors[i] != L.vectors[j]
-        for i in range(m)
-        for j in range(i + 1, m)
-        if adj[i][j]
-    )
+    proper = all(len({L.vectors[i] for i in V}) == len(V) for V in P.vertices)
     return Coloring(L.vectors, proper, len(set(L.vectors)))
 
 

@@ -231,11 +231,6 @@ def _certify(
     return cert
 
 
-def adjacency_masks(matrix: list[list[bool]]) -> list[int]:
-    m = len(matrix)
-    return [sum(1 << j for j in range(m) if matrix[i][j]) for i in range(m)]
-
-
 def chromatic_of_graph(
     n: int, edges: Iterable[tuple[int, int]], time_budget: float = DEFAULT_TIME_BUDGET
 ) -> ChromaticCertificate:
@@ -264,4 +259,4 @@ def chromatic_number(
     if hint is not None:
         _check_aligned(P, hint)
         hints.append(hint.vectors)  # _certify keeps it only if proper
-    return _certify(adjacency_masks(facet_adjacency(P)), hints, time_budget)
+    return _certify(facet_adjacency(P), hints, time_budget)

@@ -12,7 +12,7 @@ import sys
 
 from . import gf2, serialize
 from .charmap import PRESET_NAMES, CharMap, bad_faces, lift_determinant_report, preset
-from .chromatic import chromatic_number
+from .chromatic import DEFAULT_TIME_BUDGET, chromatic_number
 from .generators import dual_cyclic, product, segment
 from .pipelines import TARGETS, product_with_segment, reproduce
 from .polytope import euler_expected, euler_sum, f_vector
@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("polytope")
     p.add_argument("--hint")
     p.add_argument("--format", choices=("table", "json"), default="table")
-    p.add_argument("--time-budget", type=float, default=10.0)
+    p.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET)
 
     p = sub.add_parser("lift-check", help="integer determinants of the naive 0/1 lift")
     p.add_argument("polytope")

@@ -60,12 +60,7 @@ def in_span(v: int, vectors: Sequence[int], n: int) -> bool:
     pivots: dict[int, int] = {}
     for w in vectors:
         _insert(pivots, w)
-    while v:
-        p = v.bit_length() - 1
-        if p not in pivots:
-            return False
-        v ^= pivots[p]
-    return True
+    return not _insert(pivots, v)
 
 
 def parity(v: int) -> int:

@@ -217,16 +217,13 @@ def reproduce(target: str) -> ReproduceResult:
     return ReproduceResult(target, summary, P, L, report, cert, not failures, failures)
 
 
-def product_with_segment(
-    base: ReproduceResult | None = None,
-) -> tuple[Polytope, CharMap, ChromaticCertificate]:
+def product_with_segment(base: ReproduceResult) -> tuple[Polytope, CharMap, ChromaticCertificate]:
     """The 5-dimensional product of the resolved 15-color polytope with a segment.
 
-    Both segment facets take the fresh fifth coordinate vector, so the product
-    map stays non-singular and adds exactly one new color.
+    base is the result of reproduce("main"). Both segment facets take the
+    fresh fifth coordinate vector, so the product map stays non-singular and
+    adds exactly one new color.
     """
-    if base is None:
-        base = reproduce("main")
     P5 = product(base.polytope, segment())
     L5 = stack(base.charmap, segment_map())
     cert = chromatic_number(P5, hint=L5)

@@ -154,15 +154,14 @@ def euler_expected(dim: int) -> int:
     return 0 if dim % 2 == 0 else 2
 
 
-def facet_adjacency(P: Polytope) -> list[list[bool]]:
-    """Symmetric m x m matrix: entry (i, j) true iff facets i != j share a vertex."""
-    m = P.num_facets
-    adj = [[False] * m for _ in range(m)]
+def facet_adjacency(P: Polytope) -> list[int]:
+    """Facet graph as bitmask rows: bit j of entry i set iff facets i != j share a vertex."""
+    rows = [0] * P.num_facets
     for V in P.vertices:
-        for i, j in itertools.combinations(V, 2):
-            adj[i][j] = True
-            adj[j][i] = True
-    return adj
+        mask = sum(1 << i for i in V)
+        for i in V:
+            rows[i] |= mask
+    return [row & ~(1 << i) for i, row in enumerate(rows)]
 
 
 def truncate_face(P: Polytope, S) -> tuple[Polytope, int]:

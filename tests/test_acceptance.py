@@ -27,7 +27,7 @@ from polychrome.charmap import (
     lift_determinant_report,
     preset,
 )
-from polychrome.chromatic import adjacency_masks, chromatic_of_graph, max_clique
+from polychrome.chromatic import chromatic_of_graph, max_clique
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.pipelines import product_with_segment, replay_bad_history
 from polychrome.polytope import (
@@ -129,7 +129,7 @@ def test_criterion_04_fifteen_color_certificate(main_run):
     col = induced_coloring(P, L)
     assert col.proper
     assert col.colors_used == 15
-    clique = max_clique(adjacency_masks(facet_adjacency(P)))
+    clique = max_clique(facet_adjacency(P))
     assert len(clique) >= 15
     cert = result.certificate
     assert cert.status == "exact"

@@ -30,6 +30,22 @@ def test_gen_segment_and_product(tmp_path, capsys):
     assert (P.dim, P.num_facets, len(P.vertices)) == (2, 4, 4)
 
 
+def test_decorate_mode_overrides_the_preset_mode(tmp_path, capsys):
+    poly, cmap = tmp_path / "poly.json", tmp_path / "map.json"
+    assert main(["gen", "dual-cyclic", "--dim", "4", "--facets", "8", "-o", str(poly)]) == 0
+    assert main(["decorate", str(poly), "--preset", "odd-bijection", "--mode", "general",
+                 "-o", str(cmap)]) == 0
+    L = load_charmap(cmap)
+    assert (L.mode, L.vectors) == ("general", (1, 2, 4, 7, 8, 11, 13, 14))
+    assert main(["gen", "dual-cyclic", "--dim", "4", "--facets", "15", "-o", str(poly)]) == 0
+    capsys.readouterr()
+    assert main(["decorate", str(poly), "--preset", "paper-example", "--mode", "oriented",
+                 "-o", str(cmap)]) == 1
+    err = capsys.readouterr().err
+    assert "vectors[1]: 3 has even weight; oriented maps need odd weights" in err
+    assert load_charmap(cmap) == L  # the refused map is not written
+
+
 def test_check_finds_bad_faces_and_exits_2(simplex_flow, capsys):
     _, poly, cmap = simplex_flow
     assert main(["check", str(poly), str(cmap)]) == 2

@@ -86,8 +86,8 @@ def _graph_certificates(tmp: Path) -> str:
                 edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
                 graphs.append((f"G({n},{p})#{k}", n, edges))
     for dim, facets in ((4, 8), (5, 12)):
-        matrix = facet_adjacency(dual_cyclic(dim, facets))
-        edges = [(u, v) for u in range(facets) for v in range(u + 1, facets) if matrix[u][v]]
+        rows = facet_adjacency(dual_cyclic(dim, facets))
+        edges = [(u, v) for u in range(facets) for v in range(u + 1, facets) if (rows[u] >> v) & 1]
         graphs.append((f"facets of dc({dim},{facets})", facets, edges))
     lines = []
     for name, n, edges in graphs:

@@ -121,7 +121,7 @@ def test_reproduce_does_not_replay(monkeypatch):
 
 def test_reproduce_reads_the_coloring_off_a_nonsingular_map(monkeypatch):
     def refuse(*args):
-        raise AssertionError("reproduce rebuilt the facet adjacency")
+        raise AssertionError("reproduce recomputed the induced coloring")
 
     monkeypatch.setattr(pipelines, "induced_coloring", refuse)
     result = reproduce("main2")

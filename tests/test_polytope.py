@@ -1,7 +1,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from polychrome.charmap import CharMap, induced_coloring
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.polytope import (
     InvariantError,
@@ -177,17 +180,74 @@ def test_f_vector_segment():
 
 def test_facet_adjacency_complete_for_neighborly():
     adj = facet_adjacency(dual_cyclic(4, 15))
-    assert all(adj[i][j] == (i != j) for i in range(15) for j in range(15))
+    assert all((adj[i] >> j) & 1 == (i != j) for i in range(15) for j in range(15))
 
 
 def test_facet_adjacency_tesseract():
     seg = segment()
     cube4 = product(product(product(seg, seg), seg), seg)
     adj = facet_adjacency(cube4)
+    assert len(adj) == 8
     # facets pair up as opposites (2k, 2k+1); everything else is adjacent
     for i in range(8):
         for j in range(8):
-            assert adj[i][j] == (i // 2 != j // 2)
+            assert (adj[i] >> j) & 1 == (i // 2 != j // 2)
+
+
+TRUNCATED = tuple(dual_cyclic(4, m) for m in range(5, 9)) + (dual_cyclic(5, 7), dual_cyclic(5, 8))
+PRISMS = tuple(product(dual_cyclic(2, k), segment()) for k in range(3, 9))
+
+
+@st.composite
+def non_neighbourly(draw):
+    """A prism, or a neighbourly dual cyclic polytope cut at a vertex and maybe one more face.
+
+    The facet cut off a vertex misses every facet not at that vertex, and
+    truncation never makes old facets adjacent, so the result is never neighbourly.
+    """
+    P = draw(st.sampled_from(TRUNCATED + PRISMS))
+    if P in TRUNCATED:
+        P, _ = truncate_face(P, draw(st.sampled_from(P.vertices)))
+        if draw(st.booleans()):
+            faces = [S for k in range(2, P.dim + 1) for S in faces_of_codim(P, k)]
+            P, _ = truncate_face(P, draw(st.sampled_from(faces)))
+    return P
+
+
+def _ridge_rows(P):
+    rows = [0] * P.num_facets
+    for i, j in faces_bruteforce(P, 2):
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return rows
+
+
+@given(non_neighbourly())
+@settings(max_examples=100, deadline=None)
+def test_facet_adjacency_matches_codim2_faces(P):
+    expected = _ridge_rows(P)
+    # some pair of facets misses, so a spurious bit would show
+    full = (1 << P.num_facets) - 1
+    assert any(row | 1 << i != full for i, row in enumerate(expected))
+    assert facet_adjacency(P) == expected
+
+
+@given(non_neighbourly(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_induced_coloring_proper_iff_no_ridge_repeats_a_vector(P, data):
+    m, ridges = P.num_facets, faces_bruteforce(P, 2)
+    # a greedy colouring in random order repeats vectors on non-adjacent
+    # facets; copying one facet's vector onto another may or may not clash
+    vectors = [0] * m
+    for i in data.draw(st.permutations(range(m))):
+        taken = {vectors[j] for S in ridges if i in S for j in S}
+        vectors[i] = min(set(range(1, m + 1)) - taken)
+    if data.draw(st.booleans()):
+        i, j = data.draw(st.permutations(range(m)))[:2]
+        vectors[i] = vectors[j]
+    L = CharMap(P.dim, tuple(vectors))
+    clash = any(vectors[i] == vectors[j] for i, j in ridges)
+    assert induced_coloring(P, L).proper == (not clash)
 
 
 def test_truncate_edge_of_simplex():
