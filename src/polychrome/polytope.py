@@ -60,8 +60,15 @@ def validate(P: Polytope) -> list[str]:
 
     Checks are purely combinatorial. Realizability as a convex polytope is
     not decided here: inputs come from known constructions and from surgeries
-    that preserve it.
+    that preserve it. A clean scan certifies P by caching its facet-coverage
+    counts on it; a certified P returns [] at once, exact as P is frozen, and
+    truncate_face hands the certificate on to each cut its local check accepts.
     """
+    return [] if "_coverage" in P.__dict__ else _scan(P)
+
+
+def _scan(P: Polytope) -> list[str]:
+    """validate's full pass over every vertex and ridge; certifies P if it finds nothing."""
     diags: list[str] = []
     n, m = P.dim, P.num_facets
     if n < 1:
@@ -92,14 +99,20 @@ def validate(P: Polytope) -> list[str]:
             )
 
     # each edge (codim n-1 face) must have exactly two endpoints
-    ridge_count = Counter(itertools.chain.from_iterable(
-        map(itertools.combinations, set(well_formed), itertools.repeat(n - 1))
-    ))
-    for S, count in sorted((S, c) for S, c in ridge_count.items() if c != 2):
+    for S, count in sorted((S, c) for S, c in _ridges(set(well_formed), n).items() if c != 2):
         diags.append(
             f"edge-condition: facets {list(S)} lie on {count} common vertices, expected 2"
         )
+    if not diags:
+        P.__dict__["_coverage"] = tuple(coverage[i] for i in range(m))
     return diags
+
+
+def _ridges(vertices, n: int) -> Counter[tuple[int, ...]]:
+    """How many of the given vertices lie on each ridge (n - 1 facets)."""
+    return Counter(itertools.chain.from_iterable(
+        map(itertools.combinations, vertices, itertools.repeat(n - 1))
+    ))
 
 
 def require_valid(P: Polytope, what: str) -> Polytope:
@@ -171,7 +184,9 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, int]:
     facet s of S, the vertex (V - {s}) + {new facet} appears instead.
     Truncating an edge of a 4-polytope (|S| = 3, two endpoints) creates the
     six vertices of a triangular-prism facet; truncating a vertex (|S| = 4)
-    creates a tetrahedron facet. The result is re-validated before returning.
+    creates a tetrahedron facet. An invalid result raises InvariantError with
+    validate's diagnostics. A cut of a certified P is checked only where it
+    changed (_cut_certificate); any other result is validated in full.
     """
     face = tuple(sorted(set(S)))
     k = len(face)
@@ -188,4 +203,30 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, int]:
     # new_index exceeds every old index, so appending it keeps each vertex sorted
     created = tuple(tuple(x for x in V if x != s) + (new_index,) for V in on for s in face)
     result = Polytope(P.dim, P.facet_labels + (label,), kept + created)
+    if (certificate := _cut_certificate(P, on, created, new_index)) is not None:
+        result.__dict__["_coverage"] = certificate
     return require_valid(result, f"truncating {list(face)} broke the polytope: "), new_index
+
+
+def _cut_certificate(P: Polytope, on, created, new: int) -> tuple[int, ...] | None:
+    """The certificate of P with the hosts `on` replaced by `created`, or None.
+
+    None unless P is certified and the cut passes a local check: each created
+    vertex lists n distinct facets in range, the new one among them, and no
+    two coincide; every facet keeps at least n vertices; every ridge of a host
+    or a created vertex ends up on 0 or 2 vertices. A ridge without the new
+    facet lies on a host, so P certified it on 2 vertices; one with it started
+    on none. Every other vertex, ridge and count is as P certified it.
+    """
+    n, parent = P.dim, P.__dict__.get("_coverage")
+    if parent is None or len(set(created)) != len(created):
+        return None
+    for C in created:
+        if len(C) != n or C[0] < 0 or C[-1] != new or sorted(set(C)) != list(C):
+            return None
+    gained, lost = Counter(itertools.chain(*created)), Counter(itertools.chain(*on))
+    coverage = tuple(c + gained[i] - lost[i] for i, c in enumerate(parent + (0,)))
+    ridges = _ridges(created, n)
+    ridges.subtract(_ridges(on, n))
+    ends = ((0 if R[-1] == new else 2) + c for R, c in ridges.items())
+    return coverage if min(coverage) >= n and all(e in (0, 2) for e in ends) else None

@@ -72,8 +72,10 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
     bad faces. Cutting S removes a face only if it contains S, and circuits
     never nest, so each cut removes just its target; it creates no bad face
     either, as resolution_vector keeps every created vertex nonsingular, which
-    a scan of the created vertices re-checks. On budget exhaustion or a failed
-    vector search the partial state is returned in the report, not raised.
+    a scan of the created vertices re-checks. truncate_face validates each cut
+    locally once P is certified (see validate); an uncertified P is scanned in
+    full once, at the first cut. On budget exhaustion or a failed vector
+    search the partial state is returned in the report, not raised.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")

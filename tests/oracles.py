@@ -3,12 +3,15 @@
 Everything here recomputes results from first principles along a different
 code path than the library: span enumeration instead of elimination, raw
 subset filters instead of incidence walks, permutation expansion instead of
-fraction-free elimination.
+fraction-free elimination, a full validation scan instead of a certificate
+inherited across truncations.
 """
 
 from __future__ import annotations
 
 import itertools
+
+from polychrome.polytope import Polytope, validate
 
 
 def rank_by_span(vectors) -> int:
@@ -88,6 +91,11 @@ def bad_faces_bruteforce(P, L) -> dict[tuple[int, ...], tuple[int, ...]]:
                 continue
             out[face] = min(V for V in P.vertices if set(face) <= set(V))
     return out
+
+
+def validate_from_scratch(P) -> list[str]:
+    """validate's full scan of P: a fresh copy carries no cached certificate."""
+    return validate(Polytope(P.dim, P.facet_labels, P.vertices))
 
 
 def det_by_permutations(rows) -> int:

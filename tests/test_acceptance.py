@@ -55,6 +55,7 @@ from .oracles import (
     chromatic_bruteforce,
     circuits_bruteforce,
     is_proper,
+    validate_from_scratch,
 )
 
 
@@ -174,6 +175,7 @@ def test_criterion_07_product_remark(main_run):
     assert elapsed < 10.0
     assert P5.dim == 5
     assert validate(P5) == []
+    assert validate_from_scratch(P5) == []
     assert cert.status == "exact"
     assert cert.chi == 16
     assert P5.num_facets == 47, (
@@ -186,6 +188,7 @@ def test_criterion_07_product_remark(main_run):
 def test_criterion_08_property_suites(corpus, decorated, main_run, main2_run, main3_run):
     for name, P in corpus:
         assert validate(P) == [], f"{name}: structural diagnostics"
+        assert validate_from_scratch(P) == [], f"{name}: structural diagnostics, full scan"
         fv = f_vector(P)
         alternating = sum(f if d % 2 == 0 else -f for d, f in enumerate(fv))
         assert alternating == (0 if P.dim % 2 == 0 else 2), f"{name}: Euler relation"
@@ -205,6 +208,7 @@ def test_criterion_08_property_suites(corpus, decorated, main_run, main2_run, ma
             S = P.vertices[0][:k]
             Q, _ = truncate_face(P, S)
             assert validate(Q) == [], f"{name}: truncation of {S}"
+            assert validate_from_scratch(Q) == [], f"{name}: truncation of {S}, full scan"
 
     # bad-face counts strictly decrease along every recorded resolution
     for result, P0, L0 in (

@@ -10,6 +10,8 @@ from polychrome.pipelines import replay_bad_history, reproduce
 from polychrome.polytope import InvariantError, validate
 from polychrome.resolution import resolve
 
+from .oracles import validate_from_scratch
+
 
 def test_reproduce_rejects_unknown_target():
     with pytest.raises(ValueError):
@@ -34,6 +36,7 @@ def test_main_summary_shape(main_run):
 def test_main_artifacts_consistent(main_run):
     result, _ = main_run
     assert validate(result.polytope) == []
+    assert validate_from_scratch(result.polytope) == []
     assert bad_faces(result.polytope, result.charmap) == []
     assert result.report.terminated == "success"
 

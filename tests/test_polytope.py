@@ -1,9 +1,11 @@
 import itertools
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polychrome import polytope
 from polychrome.charmap import CharMap, induced_coloring
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.polytope import (
@@ -21,7 +23,7 @@ from polychrome.polytope import (
 )
 from polychrome.serialize import polytope_from_dict, polytope_to_dict
 
-from .oracles import faces_bruteforce
+from .oracles import faces_bruteforce, validate_from_scratch
 
 
 def test_vertices_canonicalized_on_construction():
@@ -308,3 +310,80 @@ def test_truncations_preserve_euler_and_simplicity():
         fv = f_vector(Q)
         assert fv[0] - fv[1] + fv[2] - fv[3] == 0
         assert 4 * fv[0] == 2 * fv[1]
+
+
+CHAIN_STARTS = (
+    tuple(dual_cyclic(n, m) for n, top in ((3, 7), (4, 7), (5, 8)) for m in range(n + 1, top + 1))
+    + tuple(dual_cyclic(2, k) for k in range(3, 7))
+    + PRISMS[:3]
+)
+
+
+@given(st.sampled_from(CHAIN_STARTS), st.integers(10, 14), st.data())
+@settings(max_examples=60, deadline=None)
+def test_a_chain_of_cuts_keeps_the_certificate_and_agrees_with_a_full_scan(P, cuts, data):
+    assert validate(P) == []  # generated polytopes are certified
+    for _ in range(cuts):
+        k = data.draw(st.integers(2, P.dim))
+        face = data.draw(st.sampled_from(faces_of_codim(P, k)))
+        with mock.patch.object(polytope, "_scan", wraps=polytope._scan) as scan:
+            P, _ = truncate_face(P, face)
+        assert scan.call_count == 0, f"cutting {face} fell back to a full scan"
+        fresh = Polytope(P.dim, P.facet_labels, P.vertices)
+        assert validate(P) == validate(fresh) == []
+        # the inherited certificate is the one a full scan caches
+        assert P.__dict__["_coverage"] == fresh.__dict__["_coverage"]
+
+
+def test_a_cut_of_an_uncertified_invalid_parent_keeps_its_message():
+    P = dual_cyclic(4, 6)
+    broken = Polytope(P.dim, P.facet_labels, P.vertices[:-1])
+    with pytest.raises(InvariantError) as exc:
+        truncate_face(broken, (0, 1, 2))
+    assert str(exc.value) == (
+        "truncating [0, 1, 2] broke the polytope: "
+        "edge-condition: facets [2, 3, 4] lie on 1 common vertices, expected 2; "
+        "edge-condition: facets [2, 3, 5] lie on 1 common vertices, expected 2; "
+        "edge-condition: facets [2, 4, 5] lie on 1 common vertices, expected 2; "
+        "edge-condition: facets [3, 4, 5] lie on 1 common vertices, expected 2"
+    )
+
+
+@pytest.mark.parametrize("wrong", [
+    pytest.param(lambda on: on + on[:1], id="host-twice"),
+    # the other four hosts keep the new facet on eight vertices; only ridges show it
+    pytest.param(lambda on: on[1:], id="host-missed"),
+])
+def test_a_wrong_cut_of_a_certified_parent_gets_the_full_scan_diagnostics(monkeypatch, wrong):
+    P = dual_cyclic(4, 7)
+    assert validate(P) == [] and len(hosts(P, (0, 1))) == 5
+    real_hosts = polytope.hosts
+    monkeypatch.setattr(polytope, "hosts", lambda P, S: wrong(real_hosts(P, S)))
+    with mock.patch.object(polytope, "_scan", wraps=polytope._scan) as scan:
+        with pytest.raises(InvariantError) as exc:
+            truncate_face(P, (0, 1))
+    assert scan.call_count == 1
+    (result,), _ = scan.call_args
+    diags = validate_from_scratch(result)
+    assert diags
+    assert str(exc.value) == "truncating [0, 1] broke the polytope: " + "; ".join(diags)
+
+
+SQUARE = dual_cyclic(2, 4)  # vertices (0, 1), (0, 3), (1, 2), (2, 3)
+
+
+@pytest.mark.parametrize("P, on, created", [
+    pytest.param(SQUARE, [(0, 1), (0, 3), (2, 3)], [(1, 4), (2, 4)],
+                 id="coverage-triangle-without-facets-0-and-3"),
+    pytest.param(SQUARE, [(2, 3), (0, 1)], [(2, 4), (1, 4), (0, 3)],
+                 id="shape-created-vertex-without-new-facet"),
+    pytest.param(dual_cyclic(3, 6), [(1, 2, 5), (3, 4, 5), (1, 2, 5)],
+                 [(4, 5, 6), (3, 5, 6), (3, 4, 6), (1, 2, 6), (1, 2, 6)],
+                 id="distinct-created-vertex-twice"),
+])
+def test_each_local_check_alone_refuses_a_wrong_cut(P, on, created):
+    # each cut balances every count but the one its check reads
+    gone = set(on)
+    kept = tuple(V for V in P.vertices if V not in gone)
+    assert validate_from_scratch(Polytope(P.dim, P.facet_labels + ("T",), kept + tuple(created)))
+    assert polytope._cut_certificate(P, on, tuple(created), P.num_facets) is None

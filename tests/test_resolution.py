@@ -1,16 +1,19 @@
 from collections import Counter
 from functools import cache
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, target
 from hypothesis import strategies as st
 
-from polychrome import gf2, resolution
+from polychrome import gf2, polytope, resolution
 from polychrome.charmap import CharMap, bad_faces, odd_vectors, preset, segment_map, stack
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.pipelines import replay_bad_history
 from polychrome.polytope import InvariantError, Polytope, default_labels, f_vector, validate
 from polychrome.resolution import NoVectorFound, resolution_vector, resolve
+
+from .oracles import validate_from_scratch
 
 
 def stub(dim, num_facets, vertices):
@@ -99,8 +102,22 @@ def test_resolve_simplex_single_bad_edge():
     assert step.chosen_vector == 12  # e3+e4: endpoints carry e3 and e4
     assert (step.vertices_removed, step.vertices_added) == (2, 6)
     assert validate(report.final_polytope) == []
+    assert validate_from_scratch(report.final_polytope) == []
     assert bad_faces(report.final_polytope, report.final_map) == []
     assert f_vector(report.final_polytope) == [9, 18, 15, 6]
+
+
+def test_resolve_validates_each_cut_locally_once_the_start_is_certified():
+    P = dual_cyclic(5, 16)
+    L = preset("odd-bijection", P)
+    uncertified = Polytope(P.dim, P.facet_labels, P.vertices)
+    for start, full_scans in ((P, 0), (uncertified, 1)):
+        with mock.patch.object(polytope, "_scan", wraps=polytope._scan) as scan:
+            report = resolve(start, L)
+        assert report.terminated == "success" and len(report.steps) > 1
+        # an uncertified start is scanned once, at its first cut
+        assert scan.call_count == full_scans
+        assert validate_from_scratch(report.final_polytope) == []
 
 
 def test_resolve_clean_input_is_identity():
