@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 from . import gf2
-from .polytope import InvariantError, Polytope
+from .polytope import InvariantError, Polytope, hosts
 
 MODES = ("general", "oriented")
 
@@ -78,7 +78,7 @@ def is_nonsingular_at(P: Polytope, L: CharMap, V) -> bool:
     """True iff the n facet vectors at vertex V are GF(2)-independent."""
     _check_aligned(P, L)
     key = tuple(sorted(V))
-    if not P.is_vertex(key):
+    if hosts(P, key) != [key]:
         raise ValueError(f"{list(key)} is not a vertex of the polytope")
     return gf2.is_independent([L.vectors[i] for i in key], L.n)
 

@@ -239,6 +239,8 @@ def chromatic_of_graph(
     for u, v in edges:
         if u == v:
             raise ValueError(f"loop at node {u}")
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u}, {v}) has an endpoint outside [0, {n})")
         adj[u] |= 1 << v
         adj[v] |= 1 << u
     return _certify(adj, [], time_budget)

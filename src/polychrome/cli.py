@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from . import gf2, serialize
-from .charmap import PRESET_NAMES, CharMap, bad_faces, lift_determinant_report, preset
+from .charmap import MODES, PRESET_NAMES, CharMap, bad_faces, lift_determinant_report, preset
 from .chromatic import DEFAULT_TIME_BUDGET, chromatic_number
 from .generators import dual_cyclic, product, segment
 from .pipelines import TARGETS, product_with_segment, reproduce
@@ -43,7 +43,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decorate", help="write a named preset characteristic map")
     p.add_argument("polytope")
     p.add_argument("--preset", required=True, choices=PRESET_NAMES)
-    p.add_argument("--mode", choices=("general", "oriented"))
+    p.add_argument("--mode", choices=MODES)
     p.add_argument("-o", "--output", required=True)
 
     p = sub.add_parser("check", help="detect bad faces of a characteristic map")

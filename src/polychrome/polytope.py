@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 
 
 class InvariantError(ValueError):
@@ -38,17 +37,6 @@ class Polytope:
     @property
     def num_facets(self) -> int:
         return len(self.facet_labels)
-
-    @cached_property
-    def _vertex_sets(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(v) for v in self.vertices)
-
-    @cached_property
-    def _vertex_lookup(self) -> frozenset[tuple[int, ...]]:
-        return frozenset(self.vertices)
-
-    def is_vertex(self, facets) -> bool:
-        return tuple(sorted(facets)) in self._vertex_lookup
 
 
 def default_labels(m: int) -> tuple[str, ...]:
@@ -124,14 +112,19 @@ def require_valid(P: Polytope, what: str) -> Polytope:
 
 
 def hosts(P: Polytope, S) -> list[tuple[int, ...]]:
-    """The vertices lying on the face S, in vertex order; empty iff S is no face."""
+    """The vertices lying on the face S, in vertex order; empty iff S is no face.
+
+    Scans P's vertex tuples one facet of S at a time; P caches no index.
+    """
     fs = frozenset(S)
     if not fs:
         raise ValueError("face set must be nonempty")
+    on = P.vertices
     for i in fs:
         if i < 0 or i >= P.num_facets:
             raise ValueError(f"facet index {i} out of range [0, {P.num_facets})")
-    return [V for V, vs in zip(P.vertices, P._vertex_sets) if fs <= vs]
+        on = [V for V in on if i in V]
+    return on
 
 
 def is_face(P: Polytope, S) -> bool:
@@ -177,6 +170,17 @@ def facet_adjacency(P: Polytope) -> list[int]:
     return [row & ~(1 << i) for i, row in enumerate(rows)]
 
 
+def _cuttable(P: Polytope, S) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
+    """S as a sorted facet tuple with its hosts; ValueError unless a face of codimension 2..n."""
+    face = tuple(sorted(set(S)))
+    if not 2 <= (k := len(face)) <= P.dim:
+        raise ValueError(f"can only truncate faces of codimension 2..{P.dim}, got {k} facets")
+    on = hosts(P, face)
+    if not on:
+        raise ValueError(f"{list(face)} is not a face of the polytope")
+    return face, on
+
+
 def truncate_face(P: Polytope, S) -> tuple[Polytope, int]:
     """Cut off the face S, returning (new polytope, index of the new facet).
 
@@ -188,14 +192,7 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, int]:
     validate's diagnostics. A cut of a certified P is checked only where it
     changed (_cut_certificate); any other result is validated in full.
     """
-    face = tuple(sorted(set(S)))
-    k = len(face)
-    if k < 2 or k > P.dim:
-        raise ValueError(f"can only truncate faces of codimension 2..{P.dim}, got {k} facets")
-    on = hosts(P, face)
-    if not on:
-        raise ValueError(f"{list(face)} is not a face of the polytope")
-
+    face, on = _cuttable(P, S)
     new_index = P.num_facets
     label = "T(" + ",".join(P.facet_labels[i] for i in face) + ")"
     gone = set(on)

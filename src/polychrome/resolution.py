@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .charmap import CharMap, bad_faces
-from .polytope import InvariantError, Polytope, hosts, truncate_face
+from .polytope import InvariantError, Polytope, _cuttable, truncate_face
 
 TERMINATED = ("success", "budget_exhausted", "no_vector_found")
 
@@ -49,12 +49,10 @@ def resolution_vector(P: Polytope, L: CharMap, S) -> int:
     Truncating S turns each vertex V over S into the vertices (V - {s}) + F'
     for s in S, so the candidate must complete each retained (n-1)-set of
     vectors to full rank. Candidates are tried in increasing bitmask order,
-    restricted to odd-weight vectors when the map is oriented.
+    restricted to odd-weight vectors when the map is oriented. S must be a
+    face truncate_face accepts; it raises the same ValueError otherwise.
     """
-    face = tuple(sorted(set(S)))
-    on = hosts(P, face)
-    if not on:
-        raise ValueError(f"{list(face)} is not a face of the polytope")
+    face, on = _cuttable(P, S)
     retained = [[L.vectors[i] for i in V if i != s] for V in on for s in face]
     for w in range(1, 1 << L.n):
         if L.mode == "oriented" and not gf2.parity(w):

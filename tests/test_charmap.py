@@ -88,6 +88,10 @@ def test_is_nonsingular_at(reference_pair):
     assert is_nonsingular_at(P, L, (0, 1, 2, 14))
     with pytest.raises(ValueError):
         is_nonsingular_at(P, L, (0, 2, 4, 6))  # not a vertex
+    # a repeated facet, a face with more than one vertex, an index out of range
+    for V in [(0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 15)]:
+        with pytest.raises(ValueError):
+            is_nonsingular_at(P, L, V)
 
 
 def test_bad_faces_reference_decoration(reference_pair):

@@ -100,6 +100,14 @@ def test_graph_api_known_small_cases():
     assert cert.chi == 0 and cert.status == "exact"
 
 
+@pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 1)])
+def test_graph_api_names_an_edge_with_an_endpoint_out_of_range(edge):
+    message = f"edge {edge} has an endpoint outside [0, 3)"
+    with pytest.raises(ValueError) as exc:
+        chromatic_of_graph(3, [(0, 1), edge])
+    assert str(exc.value) == message
+
+
 def test_max_clique_on_known_graphs():
     # K4 with a pendant vertex hanging off node 3
     n = 5

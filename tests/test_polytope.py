@@ -108,6 +108,9 @@ def test_hosts_match_the_subset_oracle():
         truncate_face(dual_cyclic(4, 5), (0, 1, 2))[0],
         product(dual_cyclic(2, 5), segment()),
     ]
+    # built from unsorted vertex tuples in reverse order
+    Q = dual_cyclic(4, 7)
+    cases.append(Polytope(Q.dim, Q.facet_labels, tuple(V[::-1] for V in Q.vertices[::-1])))
     for P in cases:
         faces = [S for k in range(1, P.dim + 1) for S in faces_of_codim(P, k)]
         face_set = set(faces)
@@ -117,8 +120,9 @@ def test_hosts_match_the_subset_oracle():
         assert len(non_faces) > 1
         for S in faces + non_faces:
             expected = [V for V in P.vertices if set(S) <= set(V)]
-            assert hosts(P, S) == expected, S
-            assert is_face(P, S) == bool(expected)
+            for query in (S, S[::-1], S + S[-1:]):
+                assert hosts(P, query) == expected, query
+                assert is_face(P, query) == bool(expected)
 
 
 def test_require_valid_returns_the_polytope_or_lists_every_diagnostic():

@@ -81,6 +81,21 @@ def test_resolution_vector_rejects_nonface():
         resolution_vector(P, L, (0, 2, 4))
 
 
+@pytest.mark.parametrize("S, message", [
+    ((3,), "can only truncate faces of codimension 2..4, got 1 facets"),
+    ((3, 3), "can only truncate faces of codimension 2..4, got 1 facets"),
+    ((0, 1, 2, 3, 4), "can only truncate faces of codimension 2..4, got 5 facets"),
+    ((4, 2, 0), "[0, 2, 4] is not a face of the polytope"),
+], ids=["facet", "repeated-facet", "too-wide", "non-face"])
+def test_resolution_vector_refuses_what_truncate_face_refuses(S, message):
+    P = dual_cyclic(4, 15)
+    L = preset("paper-example", P)
+    for cut in (lambda: resolution_vector(P, L, S), lambda: polytope.truncate_face(P, S)):
+        with pytest.raises(ValueError) as exc:
+            cut()
+        assert str(exc.value) == message
+
+
 def test_resolution_vector_no_candidate():
     # the vertex hosts two circuits ({0,3} and {0,1,2}), so removing facet 0
     # leaves a dependent triple that no new vector can repair
