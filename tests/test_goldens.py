@@ -3,13 +3,13 @@
 The files in tests/goldens/ pin what a user sees: the `reproduce` summaries
 as JSON and as tables, `check` and `fvector` on the reference decoration,
 `check` on a map with rank-deficiency-2 vertices, the polytope files `gen
-dual-cyclic` writes in an even and an odd dimension, the demos' standard
-output, the `resolve --trace` files, and the chromatic layer's greedy
-colouring, maximum clique and certificate on seeded random graphs and two
-facet graphs (every branch-and-bound certificate pins the search tree that
-found it). A refactor must
-leave every one of them identical. Traces are compared without the per-step
-`bad_by_size` field, which the goldens predate.
+dual-cyclic` writes in an even and an odd dimension, the one-line reports of
+`gen`, `decorate` and `resolve`, `lift-check` and `chromatic --hint` as JSON
+and as tables, the demos' standard output, the `resolve --trace` files, and
+the chromatic layer's greedy colouring, maximum clique and certificate on
+seeded random graphs and two facet graphs (every branch-and-bound certificate
+pins the search tree that found it). A refactor must leave every one of them
+identical.
 
 When an output change is intended, regenerate with
 `PYTHONPATH=src python tests/test_goldens.py` and name the change in
@@ -31,7 +31,6 @@ from polychrome.chromatic import chromatic_of_graph, greedy_coloring, max_clique
 from polychrome.cli import main
 from polychrome.generators import dual_cyclic
 from polychrome.polytope import facet_adjacency
-from polychrome.serialize import dumps
 
 GOLDENS = Path(__file__).parent / "goldens"
 DEMOS = Path(__file__).parent.parent / "demos"
@@ -61,15 +60,34 @@ def _inputs(tmp: Path, dim: int, facets: int, preset: str) -> tuple[str, str]:
     return str(poly), str(cmap)
 
 
-def _trace(tmp: Path, dim: int, facets: int, preset: str) -> str:
+def _resolve(tmp: Path, dim: int, facets: int, preset: str, *extra) -> tuple[str, str]:
+    """The resolved polytope and map files of the preset on dc(dim, facets)."""
     poly, cmap = _inputs(tmp, dim, facets, preset)
+    out = str(tmp / "out-poly.json"), str(tmp / "out-map.json")
+    _cli("resolve", poly, cmap, "-o", *out, *extra)
+    return out
+
+
+def _trace(tmp: Path, dim: int, facets: int, preset: str) -> str:
     trace = tmp / "trace.json"
-    _cli("resolve", poly, cmap, "-o", str(tmp / "out-poly.json"), str(tmp / "out-map.json"),
-         "--trace", str(trace))
-    data = json.loads(trace.read_text(encoding="utf-8"))
-    for step in data["steps"]:
-        step.pop("bad_by_size", None)
-    return dumps(data)
+    _resolve(tmp, dim, facets, preset, "--trace", str(trace))
+    return trace.read_text(encoding="utf-8")
+
+
+def _chromatic(tmp: Path, *fmt) -> str:
+    poly, cmap = _resolve(tmp, 4, 8, "identity-first")
+    return _cli("chromatic", poly, "--hint", cmap, *fmt)
+
+
+def _reports(tmp: Path) -> str:
+    """What gen, decorate and resolve print, with the scratch directory shown as TMP."""
+    poly, cmap = tmp / "poly.json", tmp / "map.json"
+    text = (
+        _cli("gen", "dual-cyclic", "--dim", "4", "--facets", "8", "-o", str(poly))
+        + _cli("decorate", str(poly), "--preset", "identity-first", "-o", str(cmap))
+        + _cli("resolve", str(poly), str(cmap), "-o", str(tmp / "rp.json"), str(tmp / "rm.json"))
+    )
+    return text.replace(str(tmp), "TMP")
 
 
 def _demo(name: str) -> str:
@@ -129,6 +147,15 @@ CASES = {
         "fvector", _inputs(tmp, 4, 15, "paper-example")[0], "--format", "json"
     ),
     "fvector-dc4-15.txt": lambda tmp: _cli("fvector", _inputs(tmp, 4, 15, "paper-example")[0]),
+    "reports-dc4-8-identity-first.txt": _reports,
+    "lift-check-dc4-8-identity-first.json": lambda tmp: _cli(
+        "lift-check", *_inputs(tmp, 4, 8, "identity-first"), "--format", "json"
+    ),
+    "lift-check-dc4-8-identity-first.txt": lambda tmp: _cli(
+        "lift-check", *_inputs(tmp, 4, 8, "identity-first")
+    ),
+    "chromatic-dc4-8-identity-first-resolved.json": lambda tmp: _chromatic(tmp, "--format", "json"),
+    "chromatic-dc4-8-identity-first-resolved.txt": _chromatic,
     "demo-worked_example.txt": lambda tmp: _demo("worked_example.py"),
     "graph-certificates.json": _graph_certificates,
     "demo-oriented_small_covers.txt": lambda tmp: _demo("oriented_small_covers.py"),
