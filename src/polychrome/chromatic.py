@@ -235,6 +235,8 @@ def chromatic_of_graph(
     n: int, edges: Iterable[tuple[int, int]], time_budget: float = DEFAULT_TIME_BUDGET
 ) -> ChromaticCertificate:
     """Certified chromatic number of an arbitrary small graph."""
+    if n < 0:
+        raise ValueError(f"node count must be at least 0, got {n}")
     adj = [0] * n
     for u, v in edges:
         if u == v:

@@ -7,7 +7,7 @@ from .polytope import Polytope, default_labels, require_valid
 
 def segment() -> Polytope:
     """The 1-dimensional polytope: two facets, each a vertex on its own."""
-    return Polytope(1, default_labels(2), ((0,), (1,)))
+    return require_valid(Polytope(1, default_labels(2), ((0,), (1,))), "segment is broken: ")
 
 
 def _gale_even(m: int, start: int, left: int):

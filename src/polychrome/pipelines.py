@@ -25,7 +25,8 @@ from .charmap import (
 from .chromatic import ChromaticCertificate, chromatic_number
 from .generators import dual_cyclic, product, segment
 from .polytope import (
-    InvariantError, Polytope, euler_expected, euler_sum, f_vector, hosts, truncate_face, validate,
+    InvariantError, Polytope, _face_label, euler_expected, euler_sum, f_vector, hosts,
+    truncate_face, validate,
 )
 from .resolution import ResolutionReport, resolve
 
@@ -115,7 +116,7 @@ def _compare_with_reference(P0: Polytope, L0: CharMap, fv: list[int]) -> tuple[d
             f"reference example lists {REFERENCE_MAIN['bad_edges']} edges and "
             f"{REFERENCE_MAIN['bad_vertices']} vertices, omitting "
             + ", ".join(
-                "{" + ",".join(P0.facet_labels[i] for i in face) + "} = "
+                _face_label(P0, face) + " = "
                 + " + ".join(gf2.vector_str(L0.vectors[i]) for i in face)
                 for face in missed
             )

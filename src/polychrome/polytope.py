@@ -43,6 +43,11 @@ def default_labels(m: int) -> tuple[str, ...]:
     return tuple(f"F{i}" for i in range(m))
 
 
+def _face_label(P: Polytope, face) -> str:
+    """The face as its facets' labels in braces, as in {F0,F1,F4}."""
+    return "{" + ",".join(P.facet_labels[i] for i in face) + "}"
+
+
 def validate(P: Polytope) -> list[str]:
     """Structural diagnostics; an empty list means every invariant holds.
 

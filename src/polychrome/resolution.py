@@ -75,8 +75,8 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
     full once, at the first cut. On budget exhaustion or a failed vector
     search the partial state is returned in the report, not raised.
     """
-    if budget < 1:
-        raise ValueError(f"budget must be at least 1, got {budget}")
+    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+        raise ValueError(f"budget must be an integer at least 1, got {budget!r}")
     bad = bad_faces(P, L)
     initial = len(bad)
     steps: list[Step] = []

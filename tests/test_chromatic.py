@@ -98,6 +98,8 @@ def test_graph_api_known_small_cases():
     assert chromatic_of_graph(1, []).chi == 1
     cert = chromatic_of_graph(0, [])
     assert cert.chi == 0 and cert.status == "exact"
+    with pytest.raises(ValueError, match="^node count must be at least 0, got -1$"):
+        chromatic_of_graph(-1, [])
 
 
 @pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 1)])

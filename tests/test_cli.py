@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from polychrome import cli
 from polychrome.cli import main
 from polychrome.serialize import load_charmap, load_polytope, load_report
 
@@ -56,6 +57,17 @@ def test_check_finds_bad_faces_and_exits_2(simplex_flow, capsys):
     assert data == [
         {"face": [0, 1, 4], "circuit_size": 3, "witness_vertex": [0, 1, 2, 4]}
     ]
+
+
+def test_check_json_formats_no_table_row(simplex_flow, monkeypatch, capsys):
+    _, poly, cmap = simplex_flow
+
+    def refuse(v):
+        raise AssertionError("check --format json formatted a table row")
+
+    monkeypatch.setattr(cli.gf2, "vector_str", refuse)
+    assert main(["check", str(poly), str(cmap), "--format", "json"]) == 2
+    assert json.loads(capsys.readouterr().out)[0]["face"] == [0, 1, 4]
 
 
 def test_resolve_then_check_clean(simplex_flow, capsys):

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from polychrome import polytope
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.polytope import f_vector, is_face, validate
 
@@ -139,3 +140,14 @@ def test_product_associative_up_to_relabeling():
     right = product(A, product(B, C))
     assert left.vertices == right.vertices
     assert left.dim == right.dim
+
+
+@pytest.mark.parametrize("build", [
+    segment, lambda: dual_cyclic(4, 8), lambda: product(dual_cyclic(2, 5), segment()),
+], ids=["segment", "dc(4,8)", "pentagon-x-segment"])
+def test_constructors_certify_what_they_build(build, monkeypatch):
+    P = build()
+    scans = []
+    monkeypatch.setattr(polytope, "_scan", lambda X: scans.append(X) or [])
+    assert validate(P) == []
+    assert scans == []

@@ -151,8 +151,10 @@ def test_resolve_budget_exhaustion():
     report = resolve(P, L, budget=1)
     assert report.terminated == "budget_exhausted"
     assert len(report.steps) == 1
-    with pytest.raises(ValueError):
-        resolve(P, L, budget=0)
+    for budget in (0, 2.5, True):
+        with pytest.raises(ValueError) as exc:
+            resolve(P, L, budget=budget)
+        assert str(exc.value) == f"budget must be an integer at least 1, got {budget}"
 
 
 def test_resolve_no_vector_found_returns_partial_report():
