@@ -30,9 +30,9 @@ simplex = dual_cyclic(4, 5)
 show("4-simplex", simplex)
 
 for face, what in (((0, 1, 2, 3), "vertex"), ((0, 1, 2), "edge"), ((0, 1), "triangle 2-face")):
-    Q, new_index = truncate_face(simplex, face)
+    Q, _ = truncate_face(simplex, face)
     show(f"  cut {what} {face}", Q)
-    print(f"{'':<30}new facet: {Q.facet_labels[new_index]}")
+    print(f"{'':<30}new facet: {Q.facet_labels[-1]}")
 
 prism = product(dual_cyclic(2, 5), segment())
 show("pentagon x segment", prism)

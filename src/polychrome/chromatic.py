@@ -207,6 +207,8 @@ def _certify(
     hints: Iterable[Sequence[int]],
     time_budget: float,
 ) -> ChromaticCertificate:
+    if isinstance(time_budget, bool) or not time_budget >= 0:
+        raise ValueError(f"time budget must be a number at least 0, got {time_budget!r}")
     n = len(adj)
     if n == 0:
         return ChromaticCertificate(0, (), (), "exact", 0, 0)

@@ -36,8 +36,8 @@ def dual_cyclic(n: int, m: int) -> Polytope:
 
     Facet i corresponds to the i-th point along the moment curve; the
     vertices are exactly the n-subsets of {0, ..., m-1} satisfying Gale's
-    evenness condition. They are generated directly, not filtered from all
-    C(m, n) subsets, and the result is validated in full.
+    evenness condition. They are generated directly, and the result is
+    validated in full.
     """
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")

@@ -20,25 +20,16 @@ def _check(vectors: Iterable[int], n: int) -> None:
             raise ValueError(f"vector {i} = {v} does not fit in {n} bits")
 
 
-def _insert(pivots: dict[int, int], v: int) -> int:
-    """Reduce v against the pivot rows; install it if a new pivot survives.
-
-    Returns the reduced vector (0 iff v was in the span already).
-    """
-    while v:
-        p = v.bit_length() - 1
-        if p not in pivots:
-            pivots[p] = v
-            return v
-        v ^= pivots[p]
-    return 0
-
-
 def _rank(vectors: Iterable[int]) -> int:
     """rank() without the width check, for vectors already known to fit."""
     pivots: dict[int, int] = {}
     for v in vectors:
-        _insert(pivots, v)
+        while v:
+            p = v.bit_length() - 1
+            if p not in pivots:
+                pivots[p] = v
+                break
+            v ^= pivots[p]
     return len(pivots)
 
 
@@ -57,10 +48,7 @@ def in_span(v: int, vectors: Sequence[int], n: int) -> bool:
     """True iff v lies in the GF(2) span of the given vectors."""
     _check([v], n)
     _check(vectors, n)
-    pivots: dict[int, int] = {}
-    for w in vectors:
-        _insert(pivots, w)
-    return not _insert(pivots, v)
+    return _rank(vectors) == _rank([*vectors, v])
 
 
 def parity(v: int) -> int:

@@ -219,13 +219,11 @@ def reproduce(target: str) -> ReproduceResult:
 
 
 def product_with_segment(base: ReproduceResult) -> tuple[Polytope, CharMap, ChromaticCertificate]:
-    """The 5-dimensional product of the resolved 15-color polytope with a segment.
+    """The product of a reproduced polytope with a segment, one dimension up.
 
-    base is the result of reproduce("main"). Both segment facets take the
-    fresh fifth coordinate vector, so the product map stays non-singular and
-    adds exactly one new color.
+    Both segment facets take the fresh last coordinate vector, so the product
+    map stays non-singular and adds exactly one new color.
     """
-    P5 = product(base.polytope, segment())
-    L5 = stack(base.charmap, segment_map())
-    cert = chromatic_number(P5, hint=L5)
-    return P5, L5, cert
+    Q = product(base.polytope, segment())
+    M = stack(base.charmap, segment_map())
+    return Q, M, chromatic_number(Q, hint=M)

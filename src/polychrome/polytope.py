@@ -101,11 +101,16 @@ def _scan(P: Polytope) -> list[str]:
     return diags
 
 
+def _faces(vertices, k: int):
+    """The k-facet faces through each of the given vertices, one per incidence."""
+    return itertools.chain.from_iterable(
+        map(itertools.combinations, vertices, itertools.repeat(k))
+    )
+
+
 def _ridges(vertices, n: int) -> Counter[tuple[int, ...]]:
     """How many of the given vertices lie on each ridge (n - 1 facets)."""
-    return Counter(itertools.chain.from_iterable(
-        map(itertools.combinations, vertices, itertools.repeat(n - 1))
-    ))
+    return Counter(_faces(vertices, n - 1))
 
 
 def require_valid(P: Polytope, what: str) -> Polytope:
@@ -119,7 +124,7 @@ def require_valid(P: Polytope, what: str) -> Polytope:
 def hosts(P: Polytope, S) -> list[tuple[int, ...]]:
     """The vertices lying on the face S, in vertex order; empty iff S is no face.
 
-    Scans P's vertex tuples one facet of S at a time; P caches no index.
+    Scans P's vertex tuples one facet of S at a time.
     """
     fs = frozenset(S)
     if not fs:
@@ -141,18 +146,12 @@ def faces_of_codim(P: Polytope, k: int) -> list[tuple[int, ...]]:
     """All codimension-k faces, as sorted facet k-sets in lexicographic order."""
     if not 1 <= k <= P.dim:
         raise ValueError(f"codimension must be in [1, {P.dim}], got {k}")
-    faces = {S for V in P.vertices for S in itertools.combinations(V, k)}
-    return sorted(faces)
+    return sorted(set(_faces(P.vertices, k)))
 
 
 def f_vector(P: Polytope) -> list[int]:
     """[f_0, ..., f_{n-1}]: face counts by dimension (f_0 = vertices)."""
-    n = P.dim
-    by_codim: dict[int, set] = {k: set() for k in range(1, n + 1)}
-    for V in P.vertices:
-        for k in range(1, n + 1):
-            by_codim[k].update(itertools.combinations(V, k))
-    return [len(by_codim[n - d]) for d in range(n)]
+    return [len(set(_faces(P.vertices, P.dim - d))) for d in range(P.dim)]
 
 
 def euler_sum(fv: list[int]) -> int:
@@ -186,16 +185,18 @@ def _cuttable(P: Polytope, S) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
     return face, on
 
 
-def truncate_face(P: Polytope, S) -> tuple[Polytope, int]:
-    """Cut off the face S, returning (new polytope, index of the new facet).
+def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]]:
+    """Cut off the face S, returning (new polytope, the vertices the cut created).
 
     Every vertex containing S disappears; for each such vertex V and each
     facet s of S, the vertex (V - {s}) + {new facet} appears instead.
     Truncating an edge of a 4-polytope (|S| = 3, two endpoints) creates the
     six vertices of a triangular-prism facet; truncating a vertex (|S| = 4)
-    creates a tetrahedron facet. An invalid result raises InvariantError with
-    validate's diagnostics. A cut of a certified P is checked only where it
-    changed (_cut_certificate); any other result is validated in full.
+    creates a tetrahedron facet. The new facet is the last one, index
+    P.num_facets, and the created vertices are exactly the vertices on it. An
+    invalid result raises InvariantError with validate's diagnostics. A cut of
+    a certified P is checked only where it changed (_cut_certificate); any
+    other result is validated in full.
     """
     face, on = _cuttable(P, S)
     new_index = P.num_facets
@@ -207,7 +208,7 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, int]:
     result = Polytope(P.dim, P.facet_labels + (label,), kept + created)
     if (certificate := _cut_certificate(P, on, created, new_index)) is not None:
         result.__dict__["_coverage"] = certificate
-    return require_valid(result, f"truncating {list(face)} broke the polytope: "), new_index
+    return require_valid(result, f"truncating {list(face)} broke the polytope: "), created
 
 
 def _cut_certificate(P: Polytope, on, created, new: int) -> tuple[int, ...] | None:

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import gf2
-from .charmap import CharMap, bad_faces
+from .charmap import CharMap, bad_faces, odd_vectors
 from .polytope import InvariantError, Polytope, _cuttable, truncate_face
 
 TERMINATED = ("success", "budget_exhausted", "no_vector_found")
@@ -54,9 +54,7 @@ def resolution_vector(P: Polytope, L: CharMap, S) -> int:
     """
     face, on = _cuttable(P, S)
     retained = [[L.vectors[i] for i in V if i != s] for V in on for s in face]
-    for w in range(1, 1 << L.n):
-        if L.mode == "oriented" and not gf2.parity(w):
-            continue
+    for w in odd_vectors(L.n) if L.mode == "oriented" else range(1, 1 << L.n):
         if all(gf2._rank(vecs + [w]) == L.n for vecs in retained):
             return w
     raise NoVectorFound(face)
@@ -91,14 +89,13 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
         except NoVectorFound:
             terminated = "no_vector_found"
             break
-        next_P, new_index = truncate_face(P, target.face)
+        next_P, created = truncate_face(P, target.face)
         next_L = L.extended(w)
-        created = [V for V in next_P.vertices if V[-1] == new_index]
         removed = len(P.vertices) + len(created) - len(next_P.vertices)
         histogram = tuple(sorted(Counter(b.circuit_size for b in bad).items()))
-        steps.append(
-            Step(target.face, target.circuit_size, new_index, w, removed, len(created), histogram)
-        )
+        steps.append(Step(
+            target.face, target.circuit_size, P.num_facets, w, removed, len(created), histogram
+        ))
         if singular := bad_faces(next_P, next_L, created):
             raise InvariantError(
                 f"step {len(steps)}: cutting {list(target.face)} created the singular vertex "

@@ -100,6 +100,11 @@ def test_graph_api_known_small_cases():
     assert cert.chi == 0 and cert.status == "exact"
     with pytest.raises(ValueError, match="^node count must be at least 0, got -1$"):
         chromatic_of_graph(-1, [])
+    assert chromatic_of_graph(3, [(0, 1)], time_budget=float("inf")).chi == 2
+    for budget in (float("nan"), -1.0, True):
+        with pytest.raises(ValueError) as exc:
+            chromatic_of_graph(3, [(0, 1)], time_budget=budget)
+        assert str(exc.value) == f"time budget must be a number at least 0, got {budget!r}"
 
 
 @pytest.mark.parametrize("edge", [(0, 3), (3, 0), (-1, 1)])

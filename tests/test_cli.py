@@ -145,6 +145,20 @@ def test_reproduce_main2(capsys):
     assert data["ok"] is True
 
 
+@pytest.mark.parametrize("target", ["main2", "main3"])
+def test_reproduce_with_product_adds_a_dimension_two_facets_and_one_colour(target, capsys):
+    assert main(["reproduce", target, "--with-product", "--format", "json"]) == 0
+    data = json.loads(capsys.readouterr().out)
+    assert data["chi_status"] == "exact"
+    assert data["product_with_segment"] == {
+        "dim": len(data["f_vector"]) + 1,
+        "facets": data["final_facets"] + 2,
+        "f0": 2 * data["f_vector"][0],
+        "chi": data["chi"] + 1,
+        "chi_status": "exact",
+    }
+
+
 def test_reproduce_writes_summary(tmp_path, capsys):
     out = tmp_path / "summary.json"
     assert main(["reproduce", "main2", "-o", str(out)]) == 0
@@ -160,6 +174,11 @@ def test_usage_and_io_errors_exit_1(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
     assert main(["fvector", str(bad)]) == 1
+    poly = tmp_path / "pent.json"
+    assert main(["gen", "dual-cyclic", "--dim", "2", "--facets", "5", "-o", str(poly)]) == 0
+    capsys.readouterr()
+    assert main(["chromatic", str(poly), "--time-budget", "nan"]) == 1
+    assert capsys.readouterr().err == "error: time budget must be a number at least 0, got nan\n"
 
 
 def test_help_exits_0(capsys):

@@ -159,9 +159,13 @@ def test_faces_of_codim_counts():
 def test_faces_of_codim_matches_bruteforce_on_small():
     square = product(segment(), segment())
     cube = product(square, segment())
-    for P in (dual_cyclic(2, 5), dual_cyclic(3, 6), dual_cyclic(4, 7), square, cube):
+    simplex, dc57 = dual_cyclic(4, 5), dual_cyclic(5, 7)
+    cuts = [(simplex, (0, 1, 2)), (simplex, (0, 1, 2, 3)), (dc57, dc57.vertices[0])]
+    truncated = [truncate_face(P, S)[0] for P, S in cuts]
+    for P in (dual_cyclic(2, 5), dual_cyclic(3, 6), dual_cyclic(4, 7), square, cube, *truncated):
         for k in range(1, P.dim + 1):
             assert faces_of_codim(P, k) == faces_bruteforce(P, k)
+        assert f_vector(P) == [len(faces_bruteforce(P, P.dim - d)) for d in range(P.dim)]
 
 
 def test_faces_of_codim_bounds():
@@ -258,12 +262,10 @@ def test_induced_coloring_proper_iff_no_ridge_repeats_a_vector(P, data):
 
 def test_truncate_edge_of_simplex():
     P = dual_cyclic(4, 5)
-    result, new = truncate_face(P, (0, 1, 2))
-    assert new == 5
+    result, created = truncate_face(P, (0, 1, 2))
     assert result.num_facets == 6
     assert result.facet_labels[5] == "T(F0,F1,F2)"
-    created = {V for V in result.vertices if 5 in V}
-    assert created == {
+    assert set(created) == {V for V in result.vertices if 5 in V} == {
         (0, 1, 3, 5), (0, 2, 3, 5), (1, 2, 3, 5),
         (0, 1, 4, 5), (0, 2, 4, 5), (1, 2, 4, 5),
     }
@@ -273,9 +275,10 @@ def test_truncate_edge_of_simplex():
 
 def test_truncate_vertex_of_simplex():
     P = dual_cyclic(4, 5)
-    result, new = truncate_face(P, (0, 1, 2, 3))
-    created = {V for V in result.vertices if new in V}
-    assert created == {(0, 1, 2, 5), (0, 1, 3, 5), (0, 2, 3, 5), (1, 2, 3, 5)}
+    result, created = truncate_face(P, (0, 1, 2, 3))
+    assert set(created) == {V for V in result.vertices if 5 in V} == {
+        (0, 1, 2, 5), (0, 1, 3, 5), (0, 2, 3, 5), (1, 2, 3, 5),
+    }
     assert len(result.vertices) == len(P.vertices) + 3
     assert validate(result) == []
 

@@ -222,10 +222,10 @@ def test_created_vertices_are_nonsingular_at_creation():
     L = preset("odd-bijection", P)
     report = resolve(P, L)
     for step in report.steps:
-        Q, new_index = truncate_face(P, step.face)
+        Q, _ = truncate_face(P, step.face)
         M = L.extended(step.chosen_vector)
         for V in Q.vertices:
-            if new_index in V:
+            if Q.num_facets - 1 in V:
                 assert is_nonsingular_at(Q, M, V)
         P, L = Q, M
 
