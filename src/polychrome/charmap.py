@@ -33,9 +33,13 @@ class CharMap:
         object.__setattr__(self, "vectors", tuple(self.vectors))
         if self.mode not in MODES:
             raise InvariantError(f"mode: expected one of {MODES}, got {self.mode!r}")
+        if isinstance(self.n, bool) or not isinstance(self.n, int):
+            raise InvariantError(f"n: expected an integer width, got {self.n!r}")
         if not 1 <= self.n <= gf2.MAX_WIDTH:
             raise InvariantError(f"n: width must be in [1, {gf2.MAX_WIDTH}], got {self.n}")
         for i, v in enumerate(self.vectors):
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise InvariantError(f"vectors[{i}]: expected an integer, got {v!r}")
             if v == 0:
                 raise InvariantError(f"vectors[{i}]: zero vector is not allowed")
             if v < 0 or v >> self.n:

@@ -210,8 +210,6 @@ def _certify(
     if isinstance(time_budget, bool) or not time_budget >= 0:
         raise ValueError(f"time budget must be a number at least 0, got {time_budget!r}")
     n = len(adj)
-    if n == 0:
-        return ChromaticCertificate(0, (), (), "exact", 0, 0)
     deadline = time.monotonic() + time_budget
     clique = max_clique(adj, deadline=deadline)
     lower = len(clique)

@@ -29,53 +29,44 @@ def _build_parser() -> argparse.ArgumentParser:
         "resolution, and exact chromatic certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    fmt = argparse.ArgumentParser(add_help=False)
+    fmt, poly, cmap, out = (argparse.ArgumentParser(add_help=False) for _ in range(4))
     fmt.add_argument("--format", choices=("table", "json"), default="table")
+    poly.add_argument("polytope")
+    cmap.add_argument("map")
+    out.add_argument("-o", "--output", required=True)
 
     gen = sub.add_parser("gen", help="construct a starting polytope")
     gen_sub = gen.add_subparsers(dest="generator", required=True)
-    g = gen_sub.add_parser("dual-cyclic", help="dual of a cyclic polytope")
+    g = gen_sub.add_parser("dual-cyclic", parents=[out], help="dual of a cyclic polytope")
     g.add_argument("--dim", type=int, required=True)
     g.add_argument("--facets", type=int, required=True)
-    g.add_argument("-o", "--output", required=True)
-    g = gen_sub.add_parser("product", help="product of two polytope files")
+    g = gen_sub.add_parser("product", parents=[out], help="product of two polytope files")
     g.add_argument("left")
     g.add_argument("right")
-    g.add_argument("-o", "--output", required=True)
-    g = gen_sub.add_parser("segment", help="the 1-dimensional segment")
-    g.add_argument("-o", "--output", required=True)
+    gen_sub.add_parser("segment", parents=[out], help="the 1-dimensional segment")
 
-    p = sub.add_parser("decorate", help="write a named preset characteristic map")
-    p.add_argument("polytope")
+    p = sub.add_parser("decorate", parents=[poly, out],
+                       help="write a named preset characteristic map")
     p.add_argument("--preset", required=True, choices=PRESET_NAMES)
     p.add_argument("--mode", choices=MODES)
-    p.add_argument("-o", "--output", required=True)
 
-    p = sub.add_parser("check", parents=[fmt], help="detect bad faces of a characteristic map")
-    p.add_argument("polytope")
-    p.add_argument("map")
+    sub.add_parser("check", parents=[fmt, poly, cmap],
+                   help="detect bad faces of a characteristic map")
+    sub.add_parser("fvector", parents=[fmt, poly], help="face counts and Euler check")
 
-    p = sub.add_parser("fvector", parents=[fmt], help="face counts and Euler check")
-    p.add_argument("polytope")
-
-    p = sub.add_parser("resolve", help="truncate bad faces until none remain")
-    p.add_argument("polytope")
-    p.add_argument("map")
+    p = sub.add_parser("resolve", parents=[poly, cmap], help="truncate bad faces until none remain")
     p.add_argument("-o", "--output", nargs=2, required=True,
                    metavar=("OUT_POLYTOPE", "OUT_MAP"))
     p.add_argument("--trace")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
 
-    p = sub.add_parser("chromatic", parents=[fmt],
+    p = sub.add_parser("chromatic", parents=[fmt, poly],
                        help="certified chromatic number of the facet graph")
-    p.add_argument("polytope")
     p.add_argument("--hint")
     p.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET)
 
-    p = sub.add_parser("lift-check", parents=[fmt],
-                       help="integer determinants of the naive 0/1 lift")
-    p.add_argument("polytope")
-    p.add_argument("map")
+    sub.add_parser("lift-check", parents=[fmt, poly, cmap],
+                   help="integer determinants of the naive 0/1 lift")
 
     p = sub.add_parser("reproduce", parents=[fmt], help="run a scripted end-to-end pipeline")
     p.add_argument("target", choices=TARGETS)

@@ -64,8 +64,13 @@ def _scan(P: Polytope) -> list[str]:
     """validate's full pass over every vertex and ridge; certifies P if it finds nothing."""
     diags: list[str] = []
     n, m = P.dim, P.num_facets
+    if isinstance(n, bool) or not isinstance(n, int):
+        return [f"dimension: dim must be an integer, got {n!r}"]
     if n < 1:
         return [f"dimension: dim must be at least 1, got {n}"]
+    kinds = set(map(type, itertools.chain.from_iterable(P.vertices)))  # at C speed
+    if bad := sorted(t.__name__ for t in kinds if t is bool or not issubclass(t, int)):
+        return [f"index-type: facet indices must be integers, got {', '.join(bad)}"]
     if m < n + 1:
         diags.append(f"facet-count: a simple {n}-polytope needs at least {n + 1} facets, got {m}")
 
@@ -174,22 +179,24 @@ def facet_adjacency(P: Polytope) -> list[int]:
     return [row & ~(1 << i) for i, row in enumerate(rows)]
 
 
-def _cuttable(P: Polytope, S) -> tuple[tuple[int, ...], list[tuple[int, ...]]]:
-    """S as a sorted facet tuple with its hosts; ValueError unless a face of codimension 2..n."""
+def _cut(P: Polytope, S):
+    """(face, hosts, created) of truncating S; ValueError unless a face of codimension 2..n."""
     face = tuple(sorted(set(S)))
     if not 2 <= (k := len(face)) <= P.dim:
         raise ValueError(f"can only truncate faces of codimension 2..{P.dim}, got {k} facets")
     on = hosts(P, face)
     if not on:
         raise ValueError(f"{list(face)} is not a face of the polytope")
-    return face, on
+    # each host V gives way to V - {s} + {F'}; F' = P.num_facets, above all, keeps it sorted
+    new = P.num_facets
+    return face, on, tuple(V[:j] + V[j + 1:] + (new,) for V in on for j in map(V.index, face))
 
 
 def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]]:
     """Cut off the face S, returning (new polytope, the vertices the cut created).
 
     Every vertex containing S disappears; for each such vertex V and each
-    facet s of S, the vertex (V - {s}) + {new facet} appears instead.
+    facet s of S, the vertex (V - {s}) + {new facet} appears instead (_cut).
     Truncating an edge of a 4-polytope (|S| = 3, two endpoints) creates the
     six vertices of a triangular-prism facet; truncating a vertex (|S| = 4)
     creates a tetrahedron facet. The new facet is the last one, index
@@ -198,20 +205,17 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]
     a certified P is checked only where it changed (_cut_certificate); any
     other result is validated in full.
     """
-    face, on = _cuttable(P, S)
-    new_index = P.num_facets
+    face, on, created = _cut(P, S)
     label = "T(" + ",".join(P.facet_labels[i] for i in face) + ")"
     gone = set(on)
     kept = tuple(V for V in P.vertices if V not in gone)
-    # new_index exceeds every old index, so appending it keeps each vertex sorted
-    created = tuple(tuple(x for x in V if x != s) + (new_index,) for V in on for s in face)
     result = Polytope(P.dim, P.facet_labels + (label,), kept + created)
-    if (certificate := _cut_certificate(P, on, created, new_index)) is not None:
+    if (certificate := _cut_certificate(P, on, created)) is not None:
         result.__dict__["_coverage"] = certificate
     return require_valid(result, f"truncating {list(face)} broke the polytope: "), created
 
 
-def _cut_certificate(P: Polytope, on, created, new: int) -> tuple[int, ...] | None:
+def _cut_certificate(P: Polytope, on, created) -> tuple[int, ...] | None:
     """The certificate of P with the hosts `on` replaced by `created`, or None.
 
     None unless P is certified and the cut passes a local check: each created
@@ -221,7 +225,7 @@ def _cut_certificate(P: Polytope, on, created, new: int) -> tuple[int, ...] | No
     facet lies on a host, so P certified it on 2 vertices; one with it started
     on none. Every other vertex, ridge and count is as P certified it.
     """
-    n, parent = P.dim, P.__dict__.get("_coverage")
+    n, new, parent = P.dim, P.num_facets, P.__dict__.get("_coverage")
     if parent is None or len(set(created)) != len(created):
         return None
     for C in created:

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 from . import gf2
 from .charmap import CharMap, bad_faces, odd_vectors
-from .polytope import InvariantError, Polytope, _cuttable, truncate_face
+from .polytope import InvariantError, Polytope, _cut, truncate_face
 
 TERMINATED = ("success", "budget_exhausted", "no_vector_found")
 
@@ -46,14 +46,14 @@ class ResolutionReport:
 def resolution_vector(P: Polytope, L: CharMap, S) -> int:
     """Smallest vector decorating the facet that truncating S would create.
 
-    Truncating S turns each vertex V over S into the vertices (V - {s}) + F'
-    for s in S, so the candidate must complete each retained (n-1)-set of
-    vectors to full rank. Candidates are tried in increasing bitmask order,
-    restricted to odd-weight vectors when the map is oriented. S must be a
-    face truncate_face accepts; it raises the same ValueError otherwise.
+    The candidate must complete the old facets' vectors at each vertex the
+    cut creates (the same ones truncate_face creates) to full rank.
+    Candidates are tried in increasing bitmask order, restricted to odd-weight
+    vectors when the map is oriented. S must be a face truncate_face accepts;
+    it raises the same ValueError otherwise.
     """
-    face, on = _cuttable(P, S)
-    retained = [[L.vectors[i] for i in V if i != s] for V in on for s in face]
+    face, _, created = _cut(P, S)
+    retained = [[L.vectors[i] for i in C[:-1]] for C in created]
     for w in odd_vectors(L.n) if L.mode == "oriented" else range(1, 1 << L.n):
         if all(gf2._rank(vecs + [w]) == L.n for vecs in retained):
             return w

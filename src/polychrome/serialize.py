@@ -11,7 +11,7 @@ import json
 from dataclasses import fields
 from pathlib import Path
 
-from .charmap import CharMap
+from .charmap import CharMap, _check_aligned
 from .polytope import Polytope, require_valid
 from .resolution import TERMINATED, ResolutionReport, Step
 
@@ -173,13 +173,13 @@ def report_from_dict(d) -> ResolutionReport:
     terminated = _expect_str(d["terminated"], "report.terminated")
     if terminated not in TERMINATED:
         raise SchemaError(f"report.terminated: expected one of {TERMINATED}, got {terminated!r}")
-    return ResolutionReport(
-        initial_bad_count=_expect_int(d["initial_bad_count"], "report.initial_bad_count"),
-        steps=tuple(steps),
-        final_polytope=polytope_from_dict(d["final_polytope"]),
-        final_map=charmap_from_dict(d["final_map"]),
-        terminated=terminated,
-    )
+    initial = _expect_int(d["initial_bad_count"], "report.initial_bad_count")
+    P, L = polytope_from_dict(d["final_polytope"]), charmap_from_dict(d["final_map"])
+    try:
+        _check_aligned(P, L)
+    except ValueError as exc:
+        raise SchemaError(f"report.final_map: {exc}") from None
+    return ResolutionReport(initial, tuple(steps), P, L, terminated)
 
 
 def save_report(r: ResolutionReport, path) -> None:

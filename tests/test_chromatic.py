@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polychrome.charmap import CharMap
-from polychrome.chromatic import _verify, chromatic_number, chromatic_of_graph, max_clique
+from polychrome.chromatic import (
+    ChromaticCertificate,
+    _verify,
+    chromatic_number,
+    chromatic_of_graph,
+    max_clique,
+)
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.pipelines import reproduce
 
@@ -96,8 +102,9 @@ def test_graph_api_known_small_cases():
     assert chromatic_of_graph(5, [(i, (i + 1) % 5) for i in range(5)]).chi == 3
     assert chromatic_of_graph(3, []).chi == 1
     assert chromatic_of_graph(1, []).chi == 1
-    cert = chromatic_of_graph(0, [])
-    assert cert.chi == 0 and cert.status == "exact"
+    empty = ChromaticCertificate(0, (), (), "exact", 0, 0)
+    assert chromatic_of_graph(0, []) == empty
+    assert chromatic_of_graph(0, [], time_budget=0) == empty
     with pytest.raises(ValueError, match="^node count must be at least 0, got -1$"):
         chromatic_of_graph(-1, [])
     assert chromatic_of_graph(3, [(0, 1)], time_budget=float("inf")).chi == 2

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -183,3 +187,19 @@ def test_usage_and_io_errors_exit_1(tmp_path, capsys):
 
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
+
+
+def test_python_dash_m_runs_the_console_entry_point():
+    # __main__ calls cli.app, the console script's target, which exits with main's code
+    root = Path(__file__).parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "polychrome", *argv],
+                              capture_output=True, env=env, check=False)
+
+    done = run("reproduce", "main2", "--format", "json")
+    assert done.returncode == 0
+    assert done.stdout == (root / "tests" / "goldens" / "reproduce-main2.json").read_bytes()
+    assert run("frobnicate").returncode == 1

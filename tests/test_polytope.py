@@ -393,4 +393,4 @@ def test_each_local_check_alone_refuses_a_wrong_cut(P, on, created):
     gone = set(on)
     kept = tuple(V for V in P.vertices if V not in gone)
     assert validate_from_scratch(Polytope(P.dim, P.facet_labels + ("T",), kept + tuple(created)))
-    assert polytope._cut_certificate(P, on, tuple(created), P.num_facets) is None
+    assert polytope._cut_certificate(P, on, tuple(created)) is None

@@ -3,17 +3,25 @@ from functools import cache
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, target
+from hypothesis import event, example, given, settings, target
 from hypothesis import strategies as st
 
 from polychrome import gf2, polytope, resolution
 from polychrome.charmap import CharMap, bad_faces, odd_vectors, preset, segment_map, stack
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.pipelines import replay_bad_history
-from polychrome.polytope import InvariantError, Polytope, default_labels, f_vector, validate
+from polychrome.polytope import (
+    InvariantError,
+    Polytope,
+    default_labels,
+    f_vector,
+    faces_of_codim,
+    truncate_face,
+    validate,
+)
 from polychrome.resolution import NoVectorFound, resolution_vector, resolve
 
-from .oracles import validate_from_scratch
+from .oracles import rank_by_span, validate_from_scratch
 
 
 def stub(dim, num_facets, vertices):
@@ -53,14 +61,6 @@ def test_resolution_vector_bad_edge_normal_form():
     w = resolution_vector(P, L, (0, 1, 2))
     assert w == 12  # e3+e4; e3 and e4 each collide with one endpoint
     assert candidates_bruteforce(P, L, (0, 1, 2))[0] == 12
-
-
-def test_resolution_vector_is_smallest_valid_candidate():
-    P = dual_cyclic(4, 15)
-    L = preset("paper-example", P)
-    for b in bad_faces(P, L)[:5]:
-        w = resolution_vector(P, L, b.face)
-        assert w == candidates_bruteforce(P, L, b.face)[0]
 
 
 def test_resolution_vector_oriented_vertex_case():
@@ -318,6 +318,46 @@ def decorated_polytopes(draw):
         for i in draw(st.lists(st.integers(0, m - 1), max_size=2)):
             vectors[i] = draw(st.sampled_from(pool))
     return P, CharMap(P.dim, tuple(vectors), mode)
+
+
+def first_valid_candidate(P, L, S):
+    """The first candidate, in increasing order, under which every vertex that
+    truncate_face(P, S) creates has full rank by span size; None if none does."""
+    created = truncate_face(P, S)[1]
+    for w in range(1, 1 << L.n):
+        if L.mode == "oriented" and not gf2.parity(w):
+            continue
+        vectors = L.extended(w).vectors
+        if all(rank_by_span([vectors[i] for i in C]) == L.n for C in created):
+            return w
+    return None
+
+
+@st.composite
+def decorated_faces(draw):
+    """A decorated polytope with one of its faces of codimension 2..n."""
+    P, L = draw(decorated_polytopes())
+    k = draw(st.integers(2, P.dim))
+    return P, L, draw(st.sampled_from(faces_of_codim(P, k)))
+
+
+PAPER = dual_cyclic(4, 15)
+PAPER_MAP = preset("paper-example", PAPER)
+
+
+@given(decorated_faces())
+@example((PAPER, PAPER_MAP, (0, 1, 2)))
+@example((PAPER, PAPER_MAP, (3, 6, 7)))
+@settings(max_examples=300, deadline=None)
+def test_resolution_vector_is_smallest_valid_candidate(case):
+    P, L, S = case
+    expected = first_valid_candidate(P, L, S)
+    event("no vector" if expected is None else "a vector")
+    if expected is None:
+        with pytest.raises(NoVectorFound):
+            resolution_vector(P, L, S)
+    else:
+        assert resolution_vector(P, L, S) == expected
 
 
 @given(decorated_polytopes())

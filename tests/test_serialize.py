@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from polychrome.charmap import preset
+from polychrome.charmap import CharMap, preset
 from polychrome.generators import dual_cyclic, product, segment
-from polychrome.polytope import InvariantError
+from polychrome.polytope import InvariantError, Polytope, validate
 from polychrome.resolution import resolve
 from polychrome.serialize import (
     SchemaError,
@@ -174,3 +174,58 @@ def test_report_without_bad_by_size_rejected(fixtures):
     del data["steps"][0]["bad_by_size"]
     with pytest.raises(SchemaError, match="missing"):
         report_from_dict(data)
+
+
+@pytest.mark.parametrize("change", [
+    pytest.param(lambda m: m["vectors"].pop(), id="a-vector-short"),
+    pytest.param(lambda m: m.update(n=5), id="too-wide"),
+])
+def test_report_final_map_must_fit_the_final_polytope(tmp_path, change):
+    P = dual_cyclic(4, 8)
+    path = tmp_path / "report.json"
+    save_report(resolve(P, preset("identity-first", P)), path)
+    data = json.loads(path.read_text())
+    change(data["final_map"])
+    with pytest.raises(SchemaError, match=r"^report\.final_map: map "):
+        report_from_dict(data)
+
+
+TRIANGLE = dual_cyclic(2, 3)
+
+
+@pytest.mark.parametrize("build, message, accepted", [
+    pytest.param(lambda: CharMap(2, (True, 2, 3)), "vectors[0]: expected an integer, got True",
+                 CharMap(2, (1, 2, 3)), id="bool-vector"),
+    pytest.param(lambda: CharMap(True, (1, 1)), "n: expected an integer width, got True",
+                 CharMap(1, (1, 1)), id="bool-width"),
+    pytest.param(lambda: CharMap(2, (1.0, 2, 3)), "vectors[0]: expected an integer, got 1.0",
+                 CharMap(2, (1, 2, 3)), id="float-vector"),
+])
+def test_a_charmap_that_could_not_reload_is_refused(tmp_path, build, message, accepted):
+    with pytest.raises(InvariantError) as exc:
+        build()
+    assert str(exc.value) == message
+    path = tmp_path / "map.json"
+    save_charmap(accepted, path)
+    assert load_charmap(path) == accepted
+
+
+@pytest.mark.parametrize("P, diagnostic, accepted", [
+    pytest.param(Polytope(True, ("a", "b"), ((0,), (1,))),
+                 "dimension: dim must be an integer, got True",
+                 Polytope(1, ("a", "b"), ((0,), (1,))), id="bool-dim"),
+    pytest.param(Polytope(2.0, TRIANGLE.facet_labels, TRIANGLE.vertices),
+                 "dimension: dim must be an integer, got 2.0", TRIANGLE, id="float-dim"),
+    pytest.param(Polytope(2, TRIANGLE.facet_labels,
+                          tuple(tuple(map(float, V)) for V in TRIANGLE.vertices)),
+                 "index-type: facet indices must be integers, got float", TRIANGLE,
+                 id="float-indices"),
+    pytest.param(Polytope(1, ("a", "b"), ((False,), (True,))),
+                 "index-type: facet indices must be integers, got bool",
+                 Polytope(1, ("a", "b"), ((0,), (1,))), id="bool-indices"),
+])
+def test_a_polytope_that_could_not_reload_does_not_validate(tmp_path, P, diagnostic, accepted):
+    assert validate(P) == [diagnostic]
+    path = tmp_path / "poly.json"
+    save_polytope(accepted, path)
+    assert validate(accepted) == [] and load_polytope(path) == accepted
