@@ -8,6 +8,7 @@ The oriented flavor additionally requires every vector to have odd weight.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import NamedTuple
 
 from . import gf2
@@ -207,15 +208,9 @@ def preset(name: str, P: Polytope) -> CharMap:
     if name == "identity-first":
         if m > (1 << n) - 1:
             raise ValueError(f"identity-first needs m <= 2^n - 1 = {(1 << n) - 1}, got {m}")
-        vectors = [1 << i for i in range(min(n, m))]
-        used = set(vectors)
-        w = 1
-        while len(vectors) < m:
-            while w in used:
-                w += 1
-            vectors.append(w)
-            used.add(w)
-        return CharMap(n, tuple(vectors), "general")
+        basis = tuple(1 << i for i in range(min(n, m)))
+        rest = (w for w in range(1, 1 << n) if w not in basis)
+        return CharMap(n, basis + tuple(islice(rest, m - len(basis))), "general")
     raise ValueError(f"unknown preset {name!r}; expected one of {PRESET_NAMES}")
 
 

@@ -4,6 +4,8 @@ Exit codes: 0 clean, 1 usage or I/O error, 2 finding (bad faces exist,
 bounds-only chromatic result, non-unimodular lift, failed pipeline
 assertion). Scripts can branch on findings without parsing output.
 
+Each subparser binds its handler (and each gen subparser its builder) with
+set_defaults; main loads the declared polytope and map, then dispatches.
 Commands return (exit code, JSON data, table lines); only main prints, either
 as JSON or as a table. Tables that grow with the input are lazy generators.
 """
@@ -11,6 +13,7 @@ as JSON or as a table. Tables that grow with the input are lazy generators.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import gf2, serialize
@@ -22,6 +25,7 @@ from .polytope import _face_label, euler_expected, euler_sum, f_vector
 from .resolution import DEFAULT_BUDGET, resolve
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="polychrome",
@@ -36,25 +40,33 @@ def _build_parser() -> argparse.ArgumentParser:
     out.add_argument("-o", "--output", required=True)
 
     gen = sub.add_parser("gen", help="construct a starting polytope")
+    gen.set_defaults(run=_cmd_gen)
     gen_sub = gen.add_subparsers(dest="generator", required=True)
     g = gen_sub.add_parser("dual-cyclic", parents=[out], help="dual of a cyclic polytope")
+    g.set_defaults(build=lambda a: dual_cyclic(a.dim, a.facets))
     g.add_argument("--dim", type=int, required=True)
     g.add_argument("--facets", type=int, required=True)
     g = gen_sub.add_parser("product", parents=[out], help="product of two polytope files")
+    g.set_defaults(build=lambda a: product(serialize.load_polytope(a.left),
+                                           serialize.load_polytope(a.right)))
     g.add_argument("left")
     g.add_argument("right")
-    gen_sub.add_parser("segment", parents=[out], help="the 1-dimensional segment")
+    g = gen_sub.add_parser("segment", parents=[out], help="the 1-dimensional segment")
+    g.set_defaults(build=lambda a: segment())
 
     p = sub.add_parser("decorate", parents=[poly, out],
                        help="write a named preset characteristic map")
+    p.set_defaults(run=_cmd_decorate)
     p.add_argument("--preset", required=True, choices=PRESET_NAMES)
     p.add_argument("--mode", choices=MODES)
 
     sub.add_parser("check", parents=[fmt, poly, cmap],
-                   help="detect bad faces of a characteristic map")
-    sub.add_parser("fvector", parents=[fmt, poly], help="face counts and Euler check")
+                   help="detect bad faces of a characteristic map").set_defaults(run=_cmd_check)
+    sub.add_parser("fvector", parents=[fmt, poly],
+                   help="face counts and Euler check").set_defaults(run=_cmd_fvector)
 
     p = sub.add_parser("resolve", parents=[poly, cmap], help="truncate bad faces until none remain")
+    p.set_defaults(run=_cmd_resolve)
     p.add_argument("-o", "--output", nargs=2, required=True,
                    metavar=("OUT_POLYTOPE", "OUT_MAP"))
     p.add_argument("--trace")
@@ -62,13 +74,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chromatic", parents=[fmt, poly],
                        help="certified chromatic number of the facet graph")
+    p.set_defaults(run=_cmd_chromatic)
     p.add_argument("--hint")
     p.add_argument("--time-budget", type=float, default=DEFAULT_TIME_BUDGET)
 
-    sub.add_parser("lift-check", parents=[fmt, poly, cmap],
-                   help="integer determinants of the naive 0/1 lift")
+    p = sub.add_parser("lift-check", parents=[fmt, poly, cmap],
+                       help="integer determinants of the naive 0/1 lift")
+    p.set_defaults(run=_cmd_lift_check)
 
     p = sub.add_parser("reproduce", parents=[fmt], help="run a scripted end-to-end pipeline")
+    p.set_defaults(run=_cmd_reproduce)
     p.add_argument("target", choices=TARGETS)
     p.add_argument("-o", "--output", help="also write the summary JSON here")
     p.add_argument("--with-product", action="store_true",
@@ -77,20 +92,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen(args):
-    if args.generator == "dual-cyclic":
-        P = dual_cyclic(args.dim, args.facets)
-    elif args.generator == "product":
-        P = product(serialize.load_polytope(args.left), serialize.load_polytope(args.right))
-    else:
-        P = segment()
+    P = args.build(args)
     serialize.save_polytope(P, args.output)
     return 0, None, [f"wrote {args.output}: dim {P.dim}, {P.num_facets} facets, "
                      f"{len(P.vertices)} vertices"]
 
 
 def _cmd_decorate(args):
-    P = serialize.load_polytope(args.polytope)
-    L = preset(args.preset, P)
+    L = preset(args.preset, args.polytope)
     if args.mode and args.mode != L.mode:
         L = CharMap(L.n, L.vectors, args.mode)
     serialize.save_charmap(L, args.output)
@@ -98,8 +107,7 @@ def _cmd_decorate(args):
 
 
 def _cmd_check(args):
-    P = serialize.load_polytope(args.polytope)
-    L = serialize.load_charmap(args.map)
+    P, L = args.polytope, args.map
     bad = bad_faces(P, L)
     def table():
         if not bad:
@@ -115,7 +123,7 @@ def _cmd_check(args):
 
 
 def _cmd_fvector(args):
-    P = serialize.load_polytope(args.polytope)  # refuses any polytope with diagnostics
+    P = args.polytope  # load_polytope refused any polytope with diagnostics
     fv = f_vector(P)
     alternating, expected = euler_sum(fv), euler_expected(P.dim)
     data = {"dim": P.dim, "f_vector": fv, "euler_alternating_sum": alternating,
@@ -125,9 +133,7 @@ def _cmd_fvector(args):
 
 
 def _cmd_resolve(args):
-    P = serialize.load_polytope(args.polytope)
-    L = serialize.load_charmap(args.map)
-    report = resolve(P, L, budget=args.budget)
+    report = resolve(args.polytope, args.map, budget=args.budget)
     serialize.save_polytope(report.final_polytope, args.output[0])
     serialize.save_charmap(report.final_map, args.output[1])
     if args.trace:
@@ -140,9 +146,8 @@ def _cmd_resolve(args):
 
 
 def _cmd_chromatic(args):
-    P = serialize.load_polytope(args.polytope)
     hint = serialize.load_charmap(args.hint) if args.hint else None
-    cert = chromatic_number(P, hint=hint, time_budget=args.time_budget)
+    cert = chromatic_number(args.polytope, hint=hint, time_budget=args.time_budget)
     def table():
         yield f"chi = {cert.chi} ({cert.status}; bounds {cert.lower}..{cert.upper})"
         yield f"clique ({len(cert.clique)}): {list(cert.clique)}"
@@ -151,9 +156,7 @@ def _cmd_chromatic(args):
 
 
 def _cmd_lift_check(args):
-    P = serialize.load_polytope(args.polytope)
-    L = serialize.load_charmap(args.map)
-    rep = lift_determinant_report(P, L)
+    rep = lift_determinant_report(args.polytope, args.map)
     data = {
         "determinants": list(rep.determinants),
         "all_unimodular": rep.all_unimodular,
@@ -217,27 +220,18 @@ def _cmd_reproduce(args):
     return 0 if result.ok else 2, summary, _reproduce_table(summary)
 
 
-_COMMANDS = {
-    "gen": _cmd_gen,
-    "decorate": _cmd_decorate,
-    "check": _cmd_check,
-    "fvector": _cmd_fvector,
-    "resolve": _cmd_resolve,
-    "chromatic": _cmd_chromatic,
-    "lift-check": _cmd_lift_check,
-    "reproduce": _cmd_reproduce,
-}
-
-
 def main(argv=None) -> int:
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; usage maps to 1 here
         return 0 if exc.code == 0 else 1
     try:
-        code, data, lines = _COMMANDS[args.command](args)
+        if "polytope" in args:
+            args.polytope = serialize.load_polytope(args.polytope)
+        if "map" in args:
+            args.map = serialize.load_charmap(args.map)
+        code, data, lines = args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -97,17 +97,13 @@ def replay_bad_history(
     return history
 
 
-def _hosts_disjoint(P: Polytope, faces: list[tuple[int, ...]]) -> bool:
-    on = [V for face in faces for V in hosts(P, face)]
-    return len(on) == len(set(on))
-
-
 def _compare_with_reference(P0: Polytope, L0: CharMap, fv: list[int]) -> tuple[dict, list[str]]:
     """Summary fields and notes setting the computed start against the quoted one."""
     initial = bad_faces(P0, L0)
     edges = [b.face for b in initial if b.circuit_size == 3]
     verts = [b.face for b in initial if b.circuit_size == 4]
-    disjoint = _hosts_disjoint(P0, [b.face for b in initial])
+    on_edges = [V for face in edges for V in hosts(P0, face)]
+    disjoint = len(on_edges) == len(set(on_edges))
     notes = []
     if len(edges) != REFERENCE_MAIN["bad_edges"] or len(verts) != REFERENCE_MAIN["bad_vertices"]:
         missed = sorted(set(edges) - REFERENCE_BAD_EDGES)

@@ -73,6 +73,8 @@ def _scan(P: Polytope) -> list[str]:
         return [f"index-type: facet indices must be integers, got {', '.join(bad)}"]
     if m < n + 1:
         diags.append(f"facet-count: a simple {n}-polytope needs at least {n + 1} facets, got {m}")
+    if bad := sorted({type(x).__name__ for x in P.facet_labels if not isinstance(x, str)}):
+        diags.append(f"label-type: facet labels must be strings, got {', '.join(bad)}")
 
     well_formed = []
     for V in P.vertices:

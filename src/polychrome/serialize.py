@@ -179,6 +179,19 @@ def report_from_dict(d) -> ResolutionReport:
         _check_aligned(P, L)
     except ValueError as exc:
         raise SchemaError(f"report.final_map: {exc}") from None
+    first = P.num_facets - len(steps)  # the facet the first step created
+    for i, s in enumerate(steps):
+        for name, value, expected in (
+            ("circuit_size", s.circuit_size, len(s.face)),
+            ("vertices_added", s.vertices_added, s.vertices_removed * s.circuit_size),
+            ("new_facet_index", s.new_facet_index, first + i),
+            ("chosen_vector", s.chosen_vector, L.vectors[first + i] if first >= 0 else None),
+            ("bad_by_size", sum(count for _, count in s.bad_by_size), initial - i),
+        ):
+            if value != expected:
+                raise SchemaError(f"report.steps[{i}].{name}: expected {expected}, got {value}")
+    if len(steps) > initial or (len(steps) == initial) != (terminated == "success"):
+        raise SchemaError(f"report.terminated: {terminated!r} after {len(steps)} of {initial} cuts")
     return ResolutionReport(initial, tuple(steps), P, L, terminated)
 
 

@@ -16,7 +16,7 @@ from polychrome.charmap import (
     stack,
 )
 from polychrome.generators import dual_cyclic, product, segment
-from polychrome.polytope import InvariantError
+from polychrome.polytope import InvariantError, Polytope, default_labels
 
 from .oracles import bad_faces_bruteforce, det_by_permutations
 from .reference import BAD_EDGES_COMPUTED, BAD_VERTICES_QUOTED
@@ -80,6 +80,16 @@ def test_identity_first_preset():
     assert len(preset("identity-first", dual_cyclic(4, 15)).vectors) == 15
     with pytest.raises(ValueError):
         preset("identity-first", dual_cyclic(4, 16))  # 16 > 2^4 - 1
+
+
+def test_identity_first_matches_its_definition_oracle():
+    # preset reads only dim and num_facets, so an unvalidated polytope is enough
+    for n in range(1, 9):
+        for m in range(1, 1 << n):
+            basis = [1 << i for i in range(min(n, m))]
+            rest = sorted(set(range(1, 1 << n)) - set(basis))[: m - len(basis)]
+            L = preset("identity-first", Polytope(n, default_labels(m), ()))
+            assert L.vectors == tuple(basis + rest), (n, m)
 
 
 def test_is_nonsingular_at(reference_pair):

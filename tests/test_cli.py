@@ -185,6 +185,43 @@ def test_usage_and_io_errors_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: time budget must be a number at least 0, got nan\n"
 
 
+LOAD_ERRORS = {
+    "missing.json": "[Errno 2] No such file or directory: 'missing.json'",
+    "malformed.json": "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    "zero.json": "vectors[2]: zero vector is not allowed",
+}
+POLYTOPE_READS = [  # {} is the polytope file the command reads
+    "check {} map.json", "fvector {}", "decorate {} --preset identity-first -o out.json",
+    "resolve {} map.json -o out.json out-map.json", "chromatic {}", "lift-check {} map.json",
+    "gen product {} poly.json -o out.json", "gen product poly.json {} -o out.json",
+]
+MAP_READS = [  # {} is the map file the command reads
+    "check poly.json {}", "resolve poly.json {} -o out.json out-map.json",
+    "chromatic poly.json --hint {}", "lift-check poly.json {}",
+]
+
+
+@pytest.mark.parametrize("argv, broken", [
+    *((line.format(f), f) for line in POLYTOPE_READS for f in ("missing.json", "malformed.json")),
+    *((line.format(f), f) for line in MAP_READS for f in LOAD_ERRORS),
+    # the polytope is read before the map
+    ("check missing.json malformed.json", "missing.json"),
+    ("lift-check malformed.json zero.json", "malformed.json"),
+    ("chromatic missing.json --hint zero.json", "missing.json"),
+])
+def test_a_file_that_does_not_load_exits_1_naming_why(tmp_path, monkeypatch, capsys, argv, broken):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "dual-cyclic", "--dim", "4", "--facets", "5", "-o", "poly.json"]) == 0
+    assert main(["decorate", "poly.json", "--preset", "identity-first", "-o", "map.json"]) == 0
+    Path("malformed.json").write_text("{not json", encoding="utf-8")
+    Path("zero.json").write_text('{"n": 4, "mode": "general", "vectors": [1, 2, 0, 4, 8]}',
+                                 encoding="utf-8")
+    capsys.readouterr()
+    assert main(argv.split()) == 1
+    assert capsys.readouterr() == ("", f"error: {LOAD_ERRORS[broken]}\n")
+    assert not Path("out.json").exists()
+
+
 def test_help_exits_0(capsys):
     assert main(["--help"]) == 0
 

@@ -223,9 +223,69 @@ def test_a_charmap_that_could_not_reload_is_refused(tmp_path, build, message, ac
     pytest.param(Polytope(1, ("a", "b"), ((False,), (True,))),
                  "index-type: facet indices must be integers, got bool",
                  Polytope(1, ("a", "b"), ((0,), (1,))), id="bool-indices"),
+    pytest.param(Polytope(2, (1, 2, 3), TRIANGLE.vertices),
+                 "label-type: facet labels must be strings, got int", TRIANGLE, id="int-labels"),
 ])
 def test_a_polytope_that_could_not_reload_does_not_validate(tmp_path, P, diagnostic, accepted):
     assert validate(P) == [diagnostic]
     path = tmp_path / "poly.json"
     save_polytope(accepted, path)
     assert validate(accepted) == [] and load_polytope(path) == accepted
+
+
+@pytest.mark.parametrize("n, m, name, budget, terminated", [
+    (4, 8, "identity-first", 1000, "success"),
+    (4, 15, "paper-example", 3, "budget_exhausted"),
+    (5, 31, "identity-first", 1000, "no_vector_found"),
+])
+def test_a_trace_of_each_ending_reloads(tmp_path, n, m, name, budget, terminated):
+    P = dual_cyclic(n, m)
+    report = resolve(P, preset(name, P), budget=budget)
+    assert report.terminated == terminated
+    path = tmp_path / "report.json"
+    save_report(report, path)
+    assert load_report(path) == report
+
+
+def _set_step0(**fields):
+    return lambda d: d["steps"][0].update(fields)
+
+
+@pytest.mark.parametrize("tamper, field", [
+    pytest.param(_set_step0(circuit_size=7), r"steps\[0\]\.circuit_size",
+                 id="circuit-size"),  # the face has 3 facets
+    pytest.param(_set_step0(vertices_added=5), r"steps\[0\]\.vertices_added",
+                 id="vertices-added"),  # 2 hosts x 3 facets
+    pytest.param(_set_step0(new_facet_index=99), r"steps\[0\]\.new_facet_index",
+                 id="new-facet-out-of-range"),
+    pytest.param(_set_step0(new_facet_index=9), r"steps\[0\]\.new_facet_index",
+                 id="new-facet-of-step-1"),
+    pytest.param(lambda d: d.update(steps=d["steps"] * 5), r"steps\[0\]\.new_facet_index",
+                 id="more-steps-than-facets"),  # 40 steps, 16 facets: no index wraps around
+    pytest.param(_set_step0(chosen_vector=13), r"steps\[0\]\.chosen_vector",
+                 id="chosen-vector"),  # final_map.vectors[8] is 12
+    pytest.param(_set_step0(bad_by_size=[[3, 4], [4, 5]]), r"steps\[0\]\.bad_by_size",
+                 id="bad-by-size"),
+    pytest.param(lambda d: d.update(initial_bad_count=0), r"steps\[0\]\.bad_by_size",
+                 id="initial-bad-count"),
+    pytest.param(lambda d: d.update(terminated="budget_exhausted"), "terminated",
+                 id="not-success-after-the-last-cut"),
+])
+def test_a_trace_that_contradicts_itself_is_refused(tmp_path, tamper, field):
+    P = dual_cyclic(4, 8)
+    path = tmp_path / "report.json"
+    save_report(resolve(P, preset("identity-first", P)), path)
+    data = json.loads(path.read_text())
+    tamper(data)
+    with pytest.raises(SchemaError, match=r"^report\." + field + ": "):
+        report_from_dict(data)
+
+
+def test_a_trace_claiming_success_before_the_last_cut_is_refused(tmp_path):
+    P = dual_cyclic(4, 15)
+    path = tmp_path / "report.json"
+    save_report(resolve(P, preset("paper-example", P), budget=3), path)
+    data = json.loads(path.read_text())
+    data["terminated"] = "success"
+    with pytest.raises(SchemaError, match=r"^report\.terminated: 'success' after 3 of 31 cuts$"):
+        report_from_dict(data)
