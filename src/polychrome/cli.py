@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
+from pathlib import Path
 
 from . import gf2, serialize
 from .charmap import MODES, PRESET_NAMES, CharMap, bad_faces, lift_determinant_report, preset
@@ -134,10 +135,17 @@ def _cmd_fvector(args):
 
 def _cmd_resolve(args):
     report = resolve(args.polytope, args.map, budget=args.budget)
-    serialize.save_polytope(report.final_polytope, args.output[0])
-    serialize.save_charmap(report.final_map, args.output[1])
-    if args.trace:
-        serialize.save_report(report, args.trace)
+    outputs = [(args.output[0], serialize.polytope_to_dict, report.final_polytope),
+               (args.output[1], serialize.charmap_to_dict, report.final_map),
+               (args.trace, serialize.report_to_dict, report)][:3 if args.trace else 2]
+    texts = [(Path(path), serialize.dumps(to_dict(x))) for path, to_dict, x in outputs]
+    for i, (path, text) in enumerate(texts):
+        try:
+            path.write_text(text, encoding="utf-8")
+        except OSError:  # all outputs or none: remove the ones already written
+            for written, _ in texts[:i]:
+                written.unlink(missing_ok=True)
+            raise
     return 0 if report.terminated == "success" else 2, None, [
         f"{report.terminated}: {len(report.steps)} steps from {report.initial_bad_count} "
         f"bad faces; final polytope has {report.final_polytope.num_facets} facets, "

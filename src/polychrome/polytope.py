@@ -20,13 +20,13 @@ class InvariantError(ValueError):
 
 @dataclass(frozen=True)
 class Polytope:
+    """Canonical: each vertex sorted, then the vertex list, so JSON output diffs and
+    replays byte for byte. The constructor sorts; a certified cut is built sorted."""
     dim: int
     facet_labels: tuple[str, ...]
     vertices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
-        # canonical form: each vertex sorted, vertex list sorted; keeps JSON
-        # output diffable and replay byte-deterministic
         object.__setattr__(self, "facet_labels", tuple(self.facet_labels))
         object.__setattr__(
             self,
@@ -203,17 +203,19 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]
     six vertices of a triangular-prism facet; truncating a vertex (|S| = 4)
     creates a tetrahedron facet. The new facet is the last one, index
     P.num_facets, and the created vertices are exactly the vertices on it. An
-    invalid result raises InvariantError with validate's diagnostics. A cut of
-    a certified P is checked only where it changed (_cut_certificate); any
-    other result is validated in full.
+    invalid result raises InvariantError with validate's diagnostics. A cut of a certified
+    P is checked only where it changed (_cut_certificate) and is canonical by construction
+    (created vertices end in the new, largest facet); other results are validated in full.
     """
     face, on, created = _cut(P, S)
-    label = "T(" + ",".join(P.facet_labels[i] for i in face) + ")"
-    gone = set(on)
-    kept = tuple(V for V in P.vertices if V not in gone)
-    result = Polytope(P.dim, P.facet_labels + (label,), kept + created)
+    labels = P.facet_labels + ("T(" + ",".join(P.facet_labels[i] for i in face) + ")",)
+    kept = tuple(itertools.filterfalse(set(on).__contains__, P.vertices))
     if (certificate := _cut_certificate(P, on, created)) is not None:
-        result.__dict__["_coverage"] = certificate
+        result = object.__new__(Polytope)  # fields as given: no __post_init__ re-sort
+        result.__dict__.update(dim=P.dim, facet_labels=labels, _coverage=certificate,
+                               vertices=tuple(sorted(kept + created)))
+    else:
+        result = Polytope(P.dim, labels, kept + created)
     return require_valid(result, f"truncating {list(face)} broke the polytope: "), created
 
 

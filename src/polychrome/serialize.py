@@ -7,8 +7,10 @@ save(load(x)) is byte-identical for canonical files.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import fields
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .charmap import CharMap, _check_aligned
@@ -21,7 +23,32 @@ class SchemaError(ValueError):
 
 
 def dumps(data) -> str:
-    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    """json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\\n", byte for byte,
+    but ints, str-keyed dicts and lists skip json's pure-Python indented encoder."""
+    return _write(data, "") + "\n"
+
+
+def _write(x, pad: str) -> str:
+    """x as the indented json encoder writes it at indent pad."""
+    inner, sep = pad + "  ", f",\n{pad}  "
+    if type(x) is int:
+        return int.__repr__(x)
+    if isinstance(x, dict) and x and set(map(type, x)) <= {str}:
+        body = sep.join(f"{encode_basestring(k)}: {_write(x[k], inner)}" for k in sorted(x))
+        return f"{{\n{inner}{body}\n{pad}}}"
+    if not isinstance(x, (list, tuple)) or not x:
+        text = json.dumps(x, indent=2, sort_keys=True, ensure_ascii=False)
+        return text.replace("\n", "\n" + pad)  # JSON strings hold no raw newline
+    kinds = set(map(type, x))
+    if kinds <= {int}:
+        body = sep.join(map(int.__repr__, x))
+    elif kinds <= {list, tuple} and all(x) and set(map(type, itertools.chain(*x))) <= {int}:
+        # rows of ints: each row's items joined, then the rows between their brackets
+        rows = map(f"{sep}  ".join, map(map, itertools.repeat(int.__repr__), x))
+        body = f"[\n{inner}  " + f"\n{inner}]{sep}[\n{inner}  ".join(rows) + f"\n{inner}]"
+    else:
+        body = sep.join(_write(v, inner) for v in x)
+    return f"[\n{inner}{body}\n{pad}]"
 
 
 def save_json(data, path) -> None:
@@ -29,7 +56,10 @@ def save_json(data, path) -> None:
 
 
 def load_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:  # name the file as well as the position
+        raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
 
 
 def _expect_keys(d, keys: tuple[str, ...], what: str) -> None:
@@ -62,7 +92,8 @@ def _expect_list(x, what: str) -> list:
 
 
 def _expect_int_list(x, what: str) -> tuple[int, ...]:
-    return tuple(_expect_int(v, what) for v in _expect_list(x, what))
+    x = _expect_list(x, what)  # types checked at C speed; the walk only names the first bad one
+    return tuple(x) if set(map(type, x)) <= {int} else tuple(_expect_int(v, what) for v in x)
 
 
 # -- Polytope ---------------------------------------------------------------
@@ -82,10 +113,9 @@ def polytope_from_dict(d) -> Polytope:
         _expect_str(x, f"polytope.facets[{i}]")
         for i, x in enumerate(_expect_list(d["facets"], "polytope.facets"))
     )
-    rows = tuple(
-        _expect_int_list(row, f"polytope.vertices[{i}]")
-        for i, row in enumerate(_expect_list(d["vertices"], "polytope.vertices"))
-    )
+    rows = _expect_list(d["vertices"], "polytope.vertices")
+    if not (set(map(type, rows)) <= {list} and set(map(type, itertools.chain(*rows))) <= {int}):
+        rows = [_expect_int_list(row, f"polytope.vertices[{i}]") for i, row in enumerate(rows)]
     return require_valid(Polytope(dim, labels, rows), "polytope: ")
 
 

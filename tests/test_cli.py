@@ -90,6 +90,20 @@ def test_resolve_then_check_clean(simplex_flow, capsys):
     assert load_charmap(rmap) == report.final_map
 
 
+@pytest.mark.parametrize("missing", ["polytope", "map", "trace"])
+def test_a_resolve_that_cannot_write_one_output_leaves_none(simplex_flow, capsys, missing):
+    tmp, poly, cmap = simplex_flow
+    outputs = {"polytope": tmp / "r.json", "map": tmp / "rm.json", "trace": tmp / "t.json"}
+    outputs[missing] = tmp / "nodir" / outputs[missing].name
+    capsys.readouterr()
+    assert main(["resolve", str(poly), str(cmap), "-o", str(outputs["polytope"]),
+                 str(outputs["map"]), "--trace", str(outputs["trace"])]) == 1
+    assert capsys.readouterr() == (
+        "", f"error: [Errno 2] No such file or directory: '{outputs[missing]}'\n"
+    )
+    assert sorted(p.name for p in tmp.iterdir()) == ["map.json", "poly.json"]
+
+
 def test_fvector_output(simplex_flow, capsys):
     _, poly, _ = simplex_flow
     assert main(["fvector", str(poly)]) == 0
@@ -187,7 +201,8 @@ def test_usage_and_io_errors_exit_1(tmp_path, capsys):
 
 LOAD_ERRORS = {
     "missing.json": "[Errno 2] No such file or directory: 'missing.json'",
-    "malformed.json": "Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+    "malformed.json": "malformed.json: Expecting property name enclosed in double quotes: "
+                      "line 1 column 2 (char 1)",
     "zero.json": "vectors[2]: zero vector is not allowed",
 }
 POLYTOPE_READS = [  # {} is the polytope file the command reads

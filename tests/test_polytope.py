@@ -336,10 +336,25 @@ def test_a_chain_of_cuts_keeps_the_certificate_and_agrees_with_a_full_scan(P, cu
         with mock.patch.object(polytope, "_scan", wraps=polytope._scan) as scan:
             P, _ = truncate_face(P, face)
         assert scan.call_count == 0, f"cutting {face} fell back to a full scan"
-        fresh = Polytope(P.dim, P.facet_labels, P.vertices)
+        # built canonical: the public constructor, given every vertex reversed, agrees
+        fresh = Polytope(P.dim, P.facet_labels, tuple(V[::-1] for V in reversed(P.vertices)))
         assert validate(P) == validate(fresh) == []
-        # the inherited certificate is the one a full scan caches
-        assert P.__dict__["_coverage"] == fresh.__dict__["_coverage"]
+        # field by field, and the inherited certificate is the one a full scan caches
+        assert vars(P) == vars(fresh)
+        assert P == fresh and hash(P) == hash(fresh)
+
+
+def test_only_a_cut_of_an_uncertified_parent_runs_the_public_constructor():
+    P = dual_cyclic(4, 7)
+    uncertified = Polytope(P.dim, P.facet_labels, P.vertices)
+    assert validate(P) == [] and "_coverage" not in uncertified.__dict__
+    with mock.patch.object(Polytope, "__post_init__", autospec=True,
+                           side_effect=Polytope.__post_init__) as init:
+        certified_cut, _ = truncate_face(P, (0, 1))
+        assert init.call_count == 0
+        uncertified_cut, _ = truncate_face(uncertified, (0, 1))
+        assert init.call_count == 1
+    assert certified_cut == uncertified_cut
 
 
 def test_a_cut_of_an_uncertified_invalid_parent_keeps_its_message():

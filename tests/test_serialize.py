@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polychrome.charmap import CharMap, preset
 from polychrome.generators import dual_cyclic, product, segment
@@ -128,8 +130,22 @@ def test_invalid_polytope_rejected_with_diagnostic():
 def test_malformed_json_is_a_parse_error(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text("{not json", encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(json.JSONDecodeError) as exc:
         load_polytope(path)
+    assert str(exc.value) == (
+        f"{path}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)"
+    )
+
+
+@pytest.mark.parametrize("rows, message", [
+    ([[0, 1], [0, True]], "polytope.vertices[1]: expected an integer, got True"),
+    ([[0, 1], "01"], "polytope.vertices[1]: expected a list, got '01'"),
+    ([[0, 1.0], [0, "x"]], "polytope.vertices[0]: expected an integer, got 1.0"),
+])
+def test_a_bad_vertex_row_is_named(rows, message):
+    with pytest.raises(SchemaError) as exc:
+        polytope_from_dict({"dim": 2, "facets": ["a", "b", "c"], "vertices": rows})
+    assert str(exc.value) == message
 
 
 def test_report_terminated_value_checked(fixtures):
@@ -145,6 +161,40 @@ def test_report_terminated_value_checked(fixtures):
 def test_dumps_is_canonical():
     # keys sorted, indent 2, trailing newline
     assert dumps({"b": 1, "a": [1, 2]}) == '{\n  "a": [\n    1,\n    2\n  ],\n  "b": 1\n}\n'
+
+
+def _json_outcome(encode, data):
+    try:
+        return encode(data)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+# quotes, escapes, control characters, non-ASCII, then any character
+_TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀') | st.characters())
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.integers(-(2**80), 2**80), st.floats(), _TEXT,
+    st.just(frozenset()),  # not encodable: the TypeError must be json's own
+)
+_INT_ROWS = st.lists(st.lists(st.integers(-3, 2**70), max_size=4), max_size=4)
+_DOCUMENTS = st.recursive(
+    st.one_of(_SCALARS, _INT_ROWS, _INT_ROWS.map(lambda rows: tuple(map(tuple, rows)))),
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(_TEXT, inner, max_size=4),
+        st.dictionaries(st.integers(), inner, max_size=3),
+    ),
+    max_leaves=30,
+)
+
+
+@given(_DOCUMENTS)
+@settings(max_examples=400, deadline=None)
+def test_dumps_writes_the_bytes_of_the_indented_json_encoder(data):
+    def reference(d):
+        return json.dumps(d, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+    assert _json_outcome(dumps, data) == _json_outcome(reference, data)
 
 
 @pytest.mark.parametrize("bad_by_size", [
