@@ -10,7 +10,6 @@ from .charmap import (
     induced_coloring,
     is_nonsingular_at,
     lift_determinant_report,
-    oriented_valid,
     preset,
     segment_map,
     stack,
@@ -22,9 +21,7 @@ from .polytope import (
     InvariantError,
     Polytope,
     f_vector,
-    faces_of_codim,
     facet_adjacency,
-    is_face,
     truncate_face,
     validate,
 )
@@ -65,16 +62,13 @@ __all__ = [
     "chromatic_of_graph",
     "dual_cyclic",
     "f_vector",
-    "faces_of_codim",
     "facet_adjacency",
     "induced_coloring",
-    "is_face",
     "is_nonsingular_at",
     "lift_determinant_report",
     "load_charmap",
     "load_polytope",
     "load_report",
-    "oriented_valid",
     "preset",
     "product",
     "product_with_segment",

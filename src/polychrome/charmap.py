@@ -85,7 +85,7 @@ def is_nonsingular_at(P: Polytope, L: CharMap, V) -> bool:
     key = tuple(sorted(V))
     if hosts(P, key) != [key]:
         raise ValueError(f"{list(key)} is not a vertex of the polytope")
-    return gf2.is_independent([L.vectors[i] for i in key], L.n)
+    return gf2.rank([L.vectors[i] for i in key], L.n) == L.n
 
 
 def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
@@ -122,11 +122,6 @@ def induced_coloring(P: Polytope, L: CharMap) -> Coloring:
     _check_aligned(P, L)
     proper = all(len({L.vectors[i] for i in V}) == len(V) for V in P.vertices)
     return Coloring(L.vectors, proper, len(set(L.vectors)))
-
-
-def oriented_valid(L: CharMap) -> bool:
-    """True iff every vector has an odd number of nonzero coordinates."""
-    return all(gf2.parity(v) for v in L.vectors)
 
 
 class LiftReport(NamedTuple):

@@ -39,18 +39,6 @@ def rank(vectors: Sequence[int], n: int) -> int:
     return _rank(vectors)
 
 
-def is_independent(vectors: Sequence[int], n: int) -> bool:
-    """True iff the vectors are linearly independent over GF(2)."""
-    return rank(vectors, n) == len(vectors)
-
-
-def in_span(v: int, vectors: Sequence[int], n: int) -> bool:
-    """True iff v lies in the GF(2) span of the given vectors."""
-    _check([v], n)
-    _check(vectors, n)
-    return _rank(vectors) == _rank([*vectors, v])
-
-
 def parity(v: int) -> int:
     """Weight parity of v: 1 for an odd number of set bits, 0 for even."""
     return v.bit_count() & 1

@@ -144,18 +144,6 @@ def hosts(P: Polytope, S) -> list[tuple[int, ...]]:
     return on
 
 
-def is_face(P: Polytope, S) -> bool:
-    """True iff the facets of S meet in at least one vertex, i.e. S names a face."""
-    return bool(hosts(P, S))
-
-
-def faces_of_codim(P: Polytope, k: int) -> list[tuple[int, ...]]:
-    """All codimension-k faces, as sorted facet k-sets in lexicographic order."""
-    if not 1 <= k <= P.dim:
-        raise ValueError(f"codimension must be in [1, {P.dim}], got {k}")
-    return sorted(set(_faces(P.vertices, k)))
-
-
 def f_vector(P: Polytope) -> list[int]:
     """[f_0, ..., f_{n-1}]: face counts by dimension (f_0 = vertices)."""
     return [len(set(_faces(P.vertices, P.dim - d))) for d in range(P.dim)]

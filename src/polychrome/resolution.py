@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import gf2
-from .charmap import CharMap, bad_faces, odd_vectors
+from .charmap import CharMap, _check_aligned, bad_faces, odd_vectors
 from .polytope import InvariantError, Polytope, _cut, truncate_face
 
 TERMINATED = ("success", "budget_exhausted", "no_vector_found")
@@ -49,9 +49,10 @@ def resolution_vector(P: Polytope, L: CharMap, S) -> int:
     The candidate must complete the old facets' vectors at each vertex the
     cut creates (the same ones truncate_face creates) to full rank.
     Candidates are tried in increasing bitmask order, restricted to odd-weight
-    vectors when the map is oriented. S must be a face truncate_face accepts;
-    it raises the same ValueError otherwise.
+    vectors when the map is oriented. Raises bad_faces' ValueError if L does
+    not fit P, and truncate_face's if S is no face it can cut.
     """
+    _check_aligned(P, L)
     face, _, created = _cut(P, S)
     retained = [[L.vectors[i] for i in C[:-1]] for C in created]
     for w in odd_vectors(L.n) if L.mode == "oriented" else range(1, 1 << L.n):

@@ -7,6 +7,7 @@ save(load(x)) is byte-identical for canonical files.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 from dataclasses import fields
@@ -22,10 +23,16 @@ class SchemaError(ValueError):
     """A JSON document does not match the expected shape."""
 
 
+_json = functools.partial(json.dumps, indent=2, sort_keys=True, ensure_ascii=False)
+
+
 def dumps(data) -> str:
-    """json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\\n", byte for byte,
-    but ints, str-keyed dicts and lists skip json's pure-Python indented encoder."""
-    return _write(data, "") + "\n"
+    """_json(data) + "\\n", byte for byte. Ints, str-keyed dicts and lists skip json's
+    pure-Python encoder; data too deep for _write, or cyclic, gets _json's result or error."""
+    try:
+        return _write(data, "") + "\n"
+    except RecursionError:
+        return _json(data) + "\n"
 
 
 def _write(x, pad: str) -> str:
@@ -37,8 +44,7 @@ def _write(x, pad: str) -> str:
         body = sep.join(f"{encode_basestring(k)}: {_write(x[k], inner)}" for k in sorted(x))
         return f"{{\n{inner}{body}\n{pad}}}"
     if not isinstance(x, (list, tuple)) or not x:
-        text = json.dumps(x, indent=2, sort_keys=True, ensure_ascii=False)
-        return text.replace("\n", "\n" + pad)  # JSON strings hold no raw newline
+        return _json(x).replace("\n", "\n" + pad)  # JSON strings hold no raw newline
     kinds = set(map(type, x))
     if kinds <= {int}:
         body = sep.join(map(int.__repr__, x))
@@ -60,6 +66,8 @@ def load_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:  # name the file as well as the position
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def _expect_keys(d, keys: tuple[str, ...], what: str) -> None:

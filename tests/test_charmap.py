@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polychrome import gf2
 from polychrome.charmap import (
     PAPER_EXAMPLE_VECTORS,
     BadFace,
@@ -10,7 +11,6 @@ from polychrome.charmap import (
     induced_coloring,
     is_nonsingular_at,
     lift_determinant_report,
-    oriented_valid,
     preset,
     segment_map,
     stack,
@@ -71,7 +71,7 @@ def test_odd_bijection_preset():
     assert L.mode == "oriented"
     L5 = preset("odd-bijection", dual_cyclic(5, 16))
     assert len(L5.vectors) == 16
-    assert oriented_valid(L5)
+    assert L5.mode == "oriented" and all(map(gf2.parity, L5.vectors))
 
 
 def test_identity_first_preset():
@@ -181,10 +181,13 @@ def test_induced_coloring_improper():
 
 
 def test_oriented_valid(reference_pair):
-    assert oriented_valid(CharMap(4, (1, 2, 4, 8, 7, 11)))
-    assert not oriented_valid(CharMap(4, (1, 3, 4)))
+    # CharMap owns the odd-weight rule of oriented mode
+    assert CharMap(4, (1, 2, 4, 8, 7, 11), "oriented").vectors == (1, 2, 4, 8, 7, 11)
+    with pytest.raises(InvariantError, match=r"^vectors\[1\]: 3 has even weight; oriented"):
+        CharMap(4, (1, 3, 4), "oriented")
     _, L = reference_pair
-    assert not oriented_valid(L)  # e1+e2 on F1 has even weight
+    with pytest.raises(InvariantError, match=r"^vectors\[1\]: 3 has even weight"):
+        CharMap(4, L.vectors, "oriented")  # e1+e2 on F1
 
 
 def test_stack_shifts_right_factor():

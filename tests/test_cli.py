@@ -204,6 +204,7 @@ LOAD_ERRORS = {
     "malformed.json": "malformed.json: Expecting property name enclosed in double quotes: "
                       "line 1 column 2 (char 1)",
     "zero.json": "vectors[2]: zero vector is not allowed",
+    "bin.json": "bin.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
 }
 POLYTOPE_READS = [  # {} is the polytope file the command reads
     "check {} map.json", "fvector {}", "decorate {} --preset identity-first -o out.json",
@@ -217,7 +218,8 @@ MAP_READS = [  # {} is the map file the command reads
 
 
 @pytest.mark.parametrize("argv, broken", [
-    *((line.format(f), f) for line in POLYTOPE_READS for f in ("missing.json", "malformed.json")),
+    *((line.format(f), f) for line in POLYTOPE_READS
+      for f in ("missing.json", "malformed.json", "bin.json")),
     *((line.format(f), f) for line in MAP_READS for f in LOAD_ERRORS),
     # the polytope is read before the map
     ("check missing.json malformed.json", "missing.json"),
@@ -229,6 +231,7 @@ def test_a_file_that_does_not_load_exits_1_naming_why(tmp_path, monkeypatch, cap
     assert main(["gen", "dual-cyclic", "--dim", "4", "--facets", "5", "-o", "poly.json"]) == 0
     assert main(["decorate", "poly.json", "--preset", "identity-first", "-o", "map.json"]) == 0
     Path("malformed.json").write_text("{not json", encoding="utf-8")
+    Path("bin.json").write_bytes(b"\xff\xfe")
     Path("zero.json").write_text('{"n": 4, "mode": "general", "vectors": [1, 2, 0, 4, 8]}',
                                  encoding="utf-8")
     capsys.readouterr()

@@ -5,7 +5,7 @@ import pytest
 
 from polychrome import polytope
 from polychrome.generators import dual_cyclic, product, segment
-from polychrome.polytope import f_vector, is_face, validate
+from polychrome.polytope import f_vector, hosts, validate
 
 from .oracles import gale_pairwise
 
@@ -86,7 +86,7 @@ def test_dual_cyclic_is_neighborly():
     for n, m in ((4, 8), (5, 7), (2, 6)):
         P = dual_cyclic(n, m)
         for S in itertools.combinations(range(m), n // 2):
-            assert is_face(P, S)
+            assert hosts(P, S)
 
 
 def test_dual_cyclic_rejects_bad_sizes():

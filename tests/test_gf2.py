@@ -38,19 +38,6 @@ def test_rank_rejects_overwide_vectors():
         gf2.rank([1], 17)
 
 
-def test_is_independent():
-    assert not gf2.is_independent([E1, E2, E3, E1 ^ E2 ^ E3], 4)
-    assert gf2.is_independent([E1], 4)
-    assert gf2.is_independent([E1, E2, E3 ^ E4, E1 ^ E2 ^ E3], 4)
-
-
-def test_in_span():
-    assert gf2.in_span(E1 ^ E2, [E1, E2], 4)
-    assert not gf2.in_span(E4, [E1, E2, E3, E1 ^ E2 ^ E3], 4)
-    assert gf2.in_span(E3 ^ E4, [E3, E4], 4)
-    assert not gf2.in_span(1, [], 4)
-
-
 def test_parity():
     assert gf2.parity(E1 ^ E2 ^ E3) == 1
     assert gf2.parity(E1 ^ E2) == 0

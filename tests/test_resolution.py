@@ -15,13 +15,12 @@ from polychrome.polytope import (
     Polytope,
     default_labels,
     f_vector,
-    faces_of_codim,
     truncate_face,
     validate,
 )
 from polychrome.resolution import NoVectorFound, resolution_vector, resolve
 
-from .oracles import rank_by_span, validate_from_scratch
+from .oracles import in_span_by_subsets, rank_by_span, validate_from_scratch
 
 
 def stub(dim, num_facets, vertices):
@@ -38,7 +37,7 @@ def candidates_bruteforce(P, L, face):
         if L.mode == "oriented" and not gf2.parity(w):
             continue
         ok = all(
-            gf2.is_independent([L.vectors[i] for i in V if i != s] + [w], L.n)
+            rank_by_span([L.vectors[i] for i in V if i != s] + [w]) == L.n
             for V in hosts
             for s in face
         )
@@ -71,7 +70,7 @@ def test_resolution_vector_oriented_vertex_case():
     w = resolution_vector(P, L, (0, 1, 2, 3))
     assert w == 8
     assert gf2.parity(w) == 1
-    assert not gf2.in_span(w, [1, 2, 4], 4)
+    assert not in_span_by_subsets(w, [1, 2, 4])
 
 
 def test_resolution_vector_rejects_nonface():
@@ -93,6 +92,20 @@ def test_resolution_vector_refuses_what_truncate_face_refuses(S, message):
     for cut in (lambda: resolution_vector(P, L, S), lambda: polytope.truncate_face(P, S)):
         with pytest.raises(ValueError) as exc:
             cut()
+        assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("fit, message", [
+    (lambda L: CharMap(4, L.vectors[:7]), "map has 7 vectors but the polytope has 8 facets"),
+    (lambda L: CharMap(5, L.vectors), "map width 5 != polytope dimension 4"),
+    (lambda L: CharMap(4, L.vectors + (15,)), "map has 9 vectors but the polytope has 8 facets"),
+], ids=["7-vectors", "width-5", "9-vectors"])
+def test_resolution_vector_refuses_a_map_that_bad_faces_refuses(fit, message):
+    P = dual_cyclic(4, 8)
+    L = fit(preset("identity-first", P))
+    for call in (lambda: resolution_vector(P, L, (0, 1, 2)), lambda: bad_faces(P, L)):
+        with pytest.raises(ValueError) as exc:
+            call()
         assert str(exc.value) == message
 
 
@@ -247,7 +260,6 @@ def test_resolve_leaves_the_checked_rank_to_callers(monkeypatch):
     P = dual_cyclic(4, 15)
     L = preset("paper-example", P)
     monkeypatch.setattr(gf2, "rank", checked)
-    monkeypatch.setattr(gf2, "is_independent", checked)
     report = resolve(P, L)
     assert (report.terminated, len(report.steps)) == ("success", 31)
 
@@ -338,7 +350,7 @@ def decorated_faces(draw):
     """A decorated polytope with one of its faces of codimension 2..n."""
     P, L = draw(decorated_polytopes())
     k = draw(st.integers(2, P.dim))
-    return P, L, draw(st.sampled_from(faces_of_codim(P, k)))
+    return P, L, draw(st.sampled_from(sorted(set(polytope._faces(P.vertices, k)))))
 
 
 PAPER = dual_cyclic(4, 15)

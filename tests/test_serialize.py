@@ -170,6 +170,10 @@ def _json_outcome(encode, data):
         return type(exc), str(exc)
 
 
+def _indented_json(data):
+    return json.dumps(data, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+
+
 # quotes, escapes, control characters, non-ASCII, then any character
 _TEXT = st.text(st.sampled_from('"\\/\b\f\n\r\t\x00\x1f\x7f\u2028é€😀') | st.characters())
 _SCALARS = st.one_of(
@@ -192,9 +196,22 @@ _DOCUMENTS = st.recursive(
 @given(_DOCUMENTS)
 @settings(max_examples=400, deadline=None)
 def test_dumps_writes_the_bytes_of_the_indented_json_encoder(data):
-    def reference(d):
-        return json.dumps(d, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
-    assert _json_outcome(dumps, data) == _json_outcome(reference, data)
+    assert _json_outcome(dumps, data) == _json_outcome(_indented_json, data)
+
+
+# data that contains itself, and data nested deeper than dumps' own writer goes
+_SELF_LIST, _SELF_DICT, _DEEP = [], {}, [1]
+_SELF_LIST.append(_SELF_LIST)
+_SELF_DICT["self"] = _SELF_DICT
+for _ in range(500):
+    _DEEP = [_DEEP]
+
+
+@pytest.mark.parametrize("data", [_SELF_LIST, _SELF_DICT, {"rows": [[1, 2], _SELF_LIST]}, _DEEP],
+                         ids=["self-list", "self-dict", "self-list-in-a-dict", "depth-500"])
+def test_dumps_matches_json_on_data_that_contains_itself_or_nests_deep(data):
+    # json refuses the first three with "Circular reference detected"; it writes the last
+    assert _json_outcome(dumps, data) == _json_outcome(_indented_json, data)
 
 
 @pytest.mark.parametrize("bad_by_size", [
