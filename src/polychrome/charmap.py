@@ -39,20 +39,26 @@ class CharMap:
         if not 1 <= self.n <= gf2.MAX_WIDTH:
             raise InvariantError(f"n: width must be in [1, {gf2.MAX_WIDTH}], got {self.n}")
         for i, v in enumerate(self.vectors):
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InvariantError(f"vectors[{i}]: expected an integer, got {v!r}")
-            if v == 0:
-                raise InvariantError(f"vectors[{i}]: zero vector is not allowed")
-            if v < 0 or v >> self.n:
-                raise InvariantError(f"vectors[{i}]: {v} does not fit in {self.n} bits")
-            if self.mode == "oriented" and not gf2.parity(v):
-                raise InvariantError(
-                    f"vectors[{i}]: {v} has even weight; oriented maps need odd weights"
-                )
+            self._check_vector(i, v)
+
+    def _check_vector(self, i: int, v) -> None:
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise InvariantError(f"vectors[{i}]: expected an integer, got {v!r}")
+        if v == 0:
+            raise InvariantError(f"vectors[{i}]: zero vector is not allowed")
+        if v < 0 or v >> self.n:
+            raise InvariantError(f"vectors[{i}]: {v} does not fit in {self.n} bits")
+        if self.mode == "oriented" and not gf2.parity(v):
+            raise InvariantError(
+                f"vectors[{i}]: {v} has even weight; oriented maps need odd weights"
+            )
 
     def extended(self, v: int) -> "CharMap":
-        """The same map with one more facet vector appended."""
-        return CharMap(self.n, self.vectors + (v,), self.mode)
+        """The same map with one more facet vector appended; only v is checked."""
+        self._check_vector(len(self.vectors), v)
+        out = object.__new__(CharMap)  # the old vectors passed __post_init__ already
+        out.__dict__.update(n=self.n, vectors=self.vectors + (v,), mode=self.mode)
+        return out
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ No coordinates are kept anywhere.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -21,7 +22,8 @@ class InvariantError(ValueError):
 @dataclass(frozen=True)
 class Polytope:
     """Canonical: each vertex sorted, then the vertex list, so JSON output diffs and
-    replays byte for byte. The constructor sorts; a certified cut is built sorted."""
+    replays byte for byte. The constructor sorts; a certified cut is spliced in order.
+    == and hash read only the fields, not what P caches: its certificate and last cut."""
     dim: int
     facet_labels: tuple[str, ...]
     vertices: tuple[tuple[int, ...], ...]
@@ -170,16 +172,20 @@ def facet_adjacency(P: Polytope) -> list[int]:
 
 
 def _cut(P: Polytope, S):
-    """(face, hosts, created) of truncating S; ValueError unless a face of codimension 2..n."""
+    """(face, hosts, created) of cutting S, kept on P; ValueError unless a face of codim 2..n."""
     face = tuple(sorted(set(S)))
+    if (last := P.__dict__.get("_last_cut")) is not None and last[0] == face:
+        return last
     if not 2 <= (k := len(face)) <= P.dim:
         raise ValueError(f"can only truncate faces of codimension 2..{P.dim}, got {k} facets")
-    on = hosts(P, face)
+    on = tuple(hosts(P, face))
     if not on:
         raise ValueError(f"{list(face)} is not a face of the polytope")
     # each host V gives way to V - {s} + {F'}; F' = P.num_facets, above all, keeps it sorted
     new = P.num_facets
-    return face, on, tuple(V[:j] + V[j + 1:] + (new,) for V in on for j in map(V.index, face))
+    created = tuple(V[:j] + V[j + 1:] + (new,) for V in on for j in map(V.index, face))
+    P.__dict__["_last_cut"] = cut = face, on, created
+    return cut
 
 
 def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]]:
@@ -192,19 +198,32 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]
     creates a tetrahedron facet. The new facet is the last one, index
     P.num_facets, and the created vertices are exactly the vertices on it. An
     invalid result raises InvariantError with validate's diagnostics. A cut of a certified
-    P is checked only where it changed (_cut_certificate) and is canonical by construction
-    (created vertices end in the new, largest facet); other results are validated in full.
+    P is checked only where it changed (_cut_certificate) and spliced into P's sorted
+    vertex list (_splice); other results are validated in full.
     """
     face, on, created = _cut(P, S)
     labels = P.facet_labels + ("T(" + ",".join(P.facet_labels[i] for i in face) + ")",)
-    kept = tuple(itertools.filterfalse(set(on).__contains__, P.vertices))
-    if (certificate := _cut_certificate(P, on, created)) is not None:
+    if (certificate := _cut_certificate(P, on, created)) and (vertices := _splice(P, on, created)):
         result = object.__new__(Polytope)  # fields as given: no __post_init__ re-sort
         result.__dict__.update(dim=P.dim, facet_labels=labels, _coverage=certificate,
-                               vertices=tuple(sorted(kept + created)))
+                               vertices=vertices)
     else:
+        kept = tuple(itertools.filterfalse(set(on).__contains__, P.vertices))
         result = Polytope(P.dim, labels, kept + created)
     return require_valid(result, f"truncating {list(face)} broke the polytope: "), created
+
+
+def _splice(P: Polytope, on, created):
+    """P's vertices less the hosts (in vertex order) plus `created`; None if bisect misses one."""
+    out, i = list(P.vertices), 0
+    for V in on:
+        i = bisect.bisect_left(out, V, i)
+        if out[i:i + 1] != [V]:
+            return None
+        del out[i]
+    for C in created:
+        bisect.insort(out, C)
+    return tuple(out)
 
 
 def _cut_certificate(P: Polytope, on, created) -> tuple[int, ...] | None:
@@ -213,9 +232,9 @@ def _cut_certificate(P: Polytope, on, created) -> tuple[int, ...] | None:
     None unless P is certified and the cut passes a local check: each created
     vertex lists n distinct facets in range, the new one among them, and no
     two coincide; every facet keeps at least n vertices; every ridge of a host
-    or a created vertex ends up on 0 or 2 vertices. A ridge without the new
-    facet lies on a host, so P certified it on 2 vertices; one with it started
-    on none. Every other vertex, ridge and count is as P certified it.
+    or a created vertex ends up on 0 or 2 vertices. A ridge with the new facet
+    started on none; one without it lies on a host, so P certified it on 2, and
+    it is the rest C[:-1] of each created C on it. All else is as P certified it.
     """
     n, new, parent = P.dim, P.num_facets, P.__dict__.get("_coverage")
     if parent is None or len(set(created)) != len(created):
@@ -223,9 +242,14 @@ def _cut_certificate(P: Polytope, on, created) -> tuple[int, ...] | None:
     for C in created:
         if len(C) != n or C[0] < 0 or C[-1] != new or sorted(set(C)) != list(C):
             return None
-    gained, lost = Counter(itertools.chain(*created)), Counter(itertools.chain(*on))
-    coverage = tuple(c + gained[i] - lost[i] for i, c in enumerate(parent + (0,)))
-    ridges = _ridges(created, n)
-    ridges.subtract(_ridges(on, n))
-    ends = ((0 if R[-1] == new else 2) + c for R, c in ridges.items())
-    return coverage if min(coverage) >= n and all(e in (0, 2) for e in ends) else None
+    delta = Counter(itertools.chain.from_iterable(created))
+    delta.subtract(itertools.chain.from_iterable(on))
+    coverage = [*parent, 0]
+    for i, d in delta.items():  # only the touched facets
+        coverage[i] += d
+    rests = [C[:-1] for C in created]
+    if min(coverage) < n or set(Counter(_faces(rests, n - 2)).values()) != {2}:
+        return None
+    ridges = _ridges(on, n)
+    ridges.subtract(rests)  # hosts on each ridge less created vertices: 2 - end count
+    return tuple(coverage) if set(ridges.values()) <= {0, 2} else None

@@ -69,10 +69,10 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
     bad faces. Cutting S removes a face only if it contains S, and circuits
     never nest, so each cut removes just its target; it creates no bad face
     either, as resolution_vector keeps every created vertex nonsingular, which
-    a scan of the created vertices re-checks. truncate_face validates each cut
-    locally once P is certified (see validate); an uncertified P is scanned in
-    full once, at the first cut. On budget exhaustion or a failed vector
-    search the partial state is returned in the report, not raised.
+    a scan of the created vertices re-checks. truncate_face reuses the cut that
+    resolution_vector made, so a step scans its hosts once, and checks it locally
+    once P is certified (see validate); an uncertified P is scanned in full at the
+    first cut. Budget exhaustion or a failed vector search returns its partial report.
     """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError(f"budget must be an integer at least 1, got {budget!r}")

@@ -43,6 +43,22 @@ def test_charmap_rejects_even_vector_in_oriented_mode():
         CharMap(4, (1, 3, 2), "oriented")
 
 
+@pytest.mark.parametrize("mode, v, message", [
+    ("general", 0, "vectors[15]: zero vector is not allowed"),
+    ("general", True, "vectors[15]: expected an integer, got True"),
+    ("general", 16, "vectors[15]: 16 does not fit in 4 bits"),
+    ("oriented", 3, "vectors[15]: 3 has even weight; oriented maps need odd weights"),
+])
+def test_extended_refuses_the_appended_vector_as_the_constructor_would(mode, v, message):
+    vectors = (1, 2, 4, 8, 7, 11, 13, 14, 1, 2, 4, 8, 7, 11, 13)  # odd weights only
+    L = CharMap(4, vectors, mode)
+    for build in (lambda: L.extended(v), lambda: CharMap(4, vectors + (v,), mode)):
+        with pytest.raises(InvariantError) as exc:
+            build()
+        assert str(exc.value) == message
+    assert L.extended(7) == CharMap(4, vectors + (7,), mode)
+
+
 def test_charmap_rejects_unknown_mode():
     with pytest.raises(InvariantError, match="mode"):
         CharMap(4, (1, 2), "weird")

@@ -331,6 +331,57 @@ def test_a_chain_of_cuts_keeps_the_certificate_and_agrees_with_a_full_scan(P, cu
         assert P == fresh and hash(P) == hash(fresh)
 
 
+def _drop(created, i, data):
+    return created[:i] + created[i + 1:]
+
+
+def _repeat(created, i, data):
+    return created + created[i:i + 1]
+
+
+def _wrong_facet(created, i, data):
+    C = created[i]
+    j = data.draw(st.integers(0, len(C) - 2))
+    new = C[-1]
+    f = data.draw(st.sampled_from([f for f in range(new) if f not in C]))
+    return created[:i] + (tuple(sorted(C[:j] + C[j + 1:-1] + (f,))) + (new,),) + created[i + 1:]
+
+
+@given(st.sampled_from(CHAIN_STARTS), st.integers(0, 3), st.data())
+@settings(max_examples=300, deadline=None)
+def test_a_cut_certificate_is_the_coverage_a_full_scan_caches(P, before, data):
+    for _ in range(before):  # certified parents that are cuts themselves
+        face = data.draw(st.sampled_from(sorted(set(polytope._faces(P.vertices, P.dim)))))
+        P, _ = truncate_face(P, face)
+    k = data.draw(st.integers(2, P.dim))
+    face = data.draw(st.sampled_from(sorted(set(polytope._faces(P.vertices, k)))))
+    _, on, created = polytope._cut(P, face)
+    mutate = data.draw(st.sampled_from([None, _drop, _repeat, _wrong_facet]))
+    if mutate is not None:
+        created = mutate(created, data.draw(st.integers(0, len(created) - 1)), data)
+    certificate = polytope._cut_certificate(P, on, created)
+    gone = set(on)
+    kept = tuple(V for V in P.vertices if V not in gone)
+    if mutate is None:
+        assert certificate is not None
+        assert polytope._splice(P, on, created) == tuple(sorted(kept + created))
+    if certificate is not None:
+        result = Polytope(P.dim, P.facet_labels + ("T",), kept + created)
+        assert validate_from_scratch(result) == []
+        assert polytope._scan(result) == [] and result.__dict__["_coverage"] == certificate
+
+
+def test_hosts_out_of_vertex_order_are_scanned_in_full_not_spliced(monkeypatch):
+    expected, _ = truncate_face(dual_cyclic(4, 7), (0, 1))
+    P = dual_cyclic(4, 7)  # a fresh object: no cut kept on it
+    real_hosts = polytope.hosts
+    monkeypatch.setattr(polytope, "hosts", lambda P, S: real_hosts(P, S)[::-1])
+    with mock.patch.object(polytope, "_scan", wraps=polytope._scan) as scan:
+        result, _ = truncate_face(P, (0, 1))
+    assert scan.call_count == 1
+    assert result == expected and vars(result) == vars(expected)
+
+
 def test_only_a_cut_of_an_uncertified_parent_runs_the_public_constructor():
     P = dual_cyclic(4, 7)
     uncertified = Polytope(P.dim, P.facet_labels, P.vertices)
@@ -389,6 +440,10 @@ SQUARE = dual_cyclic(2, 4)  # vertices (0, 1), (0, 3), (1, 2), (2, 3)
     pytest.param(dual_cyclic(3, 6), [(1, 2, 5), (3, 4, 5), (1, 2, 5)],
                  [(4, 5, 6), (3, 5, 6), (3, 4, 6), (1, 2, 6), (1, 2, 6)],
                  id="distinct-created-vertex-twice"),
+    pytest.param(SQUARE, [(0, 1), (2, 3)], [(0, 4), (1, 4), (2, 4), (3, 4)],
+                 id="ridges-new-facet-on-four-vertices"),
+    pytest.param(dual_cyclic(3, 5), [(0, 2, 3), (0, 3, 4)], [(0, 2, 5), (0, 3, 5), (2, 3, 5)],
+                 id="ridges-old-ridge-on-one-vertex"),
 ])
 def test_each_local_check_alone_refuses_a_wrong_cut(P, on, created):
     # each cut balances every count but the one its check reads

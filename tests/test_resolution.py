@@ -304,6 +304,15 @@ def test_resolve_rescans_only_the_created_vertices(monkeypatch):
         assert all(V[-1] == step.new_facet_index for V in created)
 
 
+def test_resolve_scans_the_hosts_once_per_step():
+    # resolution_vector and truncate_face share the step's one cut
+    P = dual_cyclic(4, 8)
+    with mock.patch.object(polytope, "hosts", wraps=polytope.hosts) as scan:
+        report = resolve(P, preset("odd-bijection", P))
+    assert report.terminated == "success" and len(report.steps) == 8
+    assert scan.call_count == len(report.steps)
+
+
 @cache
 def _small_polytopes():
     polygons = [dual_cyclic(2, k) for k in (3, 4, 5)]
