@@ -235,10 +235,14 @@ def chromatic_of_graph(
     n: int, edges: Iterable[tuple[int, int]], time_budget: float = DEFAULT_TIME_BUDGET
 ) -> ChromaticCertificate:
     """Certified chromatic number of an arbitrary small graph."""
+    if type(n) is not int:  # a bool is no node count
+        raise ValueError(f"node count must be an integer, got {n!r}")
     if n < 0:
         raise ValueError(f"node count must be at least 0, got {n}")
     adj = [0] * n
     for u, v in edges:
+        if type(u) is not int or type(v) is not int:
+            raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
         if u == v:
             raise ValueError(f"loop at node {u}")
         if not (0 <= u < n and 0 <= v < n):

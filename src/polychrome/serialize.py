@@ -15,12 +15,13 @@ from json.encoder import encode_basestring
 from pathlib import Path
 
 from .charmap import CharMap, _check_aligned
-from .polytope import Polytope, require_valid
+from .polytope import InvariantError, Polytope, require_valid
 from .resolution import TERMINATED, ResolutionReport, Step
 
 
 class SchemaError(ValueError):
-    """A JSON document does not match the expected shape."""
+    """A JSON document does not match the expected shape: its keys, lists, vertex rows or
+    trace steps. What CharMap or validate refuses in a well-shaped one is an InvariantError."""
 
 
 _json = functools.partial(json.dumps, indent=2, sort_keys=True, ensure_ascii=False)
@@ -66,8 +67,16 @@ def load_json(path):
         return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:  # name the file as well as the position
         raise json.JSONDecodeError(f"{path}: {exc.msg}", exc.doc, exc.pos) from None
-    except UnicodeDecodeError as exc:
+    except (UnicodeDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _load(path, from_dict):
+    data = load_json(path)
+    try:
+        return from_dict(data)
+    except (SchemaError, InvariantError) as exc:  # name the file, keep the class
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 def _expect_keys(d, keys: tuple[str, ...], what: str) -> None:
@@ -84,12 +93,6 @@ def _expect_keys(d, keys: tuple[str, ...], what: str) -> None:
 def _expect_int(x, what: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise SchemaError(f"{what}: expected an integer, got {x!r}")
-    return x
-
-
-def _expect_str(x, what: str) -> str:
-    if not isinstance(x, str):
-        raise SchemaError(f"{what}: expected a string, got {x!r}")
     return x
 
 
@@ -115,16 +118,13 @@ def polytope_to_dict(P: Polytope) -> dict:
 
 
 def polytope_from_dict(d) -> Polytope:
+    """Checks int rows, which the constructor sorts, and leaves dim and labels to validate."""
     _expect_keys(d, ("dim", "facets", "vertices"), "polytope")
-    dim = _expect_int(d["dim"], "polytope.dim")
-    labels = tuple(
-        _expect_str(x, f"polytope.facets[{i}]")
-        for i, x in enumerate(_expect_list(d["facets"], "polytope.facets"))
-    )
+    labels = _expect_list(d["facets"], "polytope.facets")
     rows = _expect_list(d["vertices"], "polytope.vertices")
     if not (set(map(type, rows)) <= {list} and set(map(type, itertools.chain(*rows))) <= {int}):
         rows = [_expect_int_list(row, f"polytope.vertices[{i}]") for i, row in enumerate(rows)]
-    return require_valid(Polytope(dim, labels, rows), "polytope: ")
+    return require_valid(Polytope(d["dim"], labels, rows), "polytope: ")
 
 
 def save_polytope(P: Polytope, path) -> None:
@@ -132,7 +132,7 @@ def save_polytope(P: Polytope, path) -> None:
 
 
 def load_polytope(path) -> Polytope:
-    return polytope_from_dict(load_json(path))
+    return _load(path, polytope_from_dict)
 
 
 # -- CharMap ----------------------------------------------------------------
@@ -143,13 +143,7 @@ def charmap_to_dict(L: CharMap) -> dict:
 
 def charmap_from_dict(d) -> CharMap:
     _expect_keys(d, ("n", "mode", "vectors"), "charmap")
-    n = _expect_int(d["n"], "charmap.n")
-    mode = _expect_str(d["mode"], "charmap.mode")
-    vectors = tuple(
-        _expect_int(x, f"charmap.vectors[{i}]")
-        for i, x in enumerate(_expect_list(d["vectors"], "charmap.vectors"))
-    )
-    return CharMap(n, vectors, mode)
+    return CharMap(d["n"], _expect_list(d["vectors"], "charmap.vectors"), d["mode"])
 
 
 def save_charmap(L: CharMap, path) -> None:
@@ -157,7 +151,7 @@ def save_charmap(L: CharMap, path) -> None:
 
 
 def load_charmap(path) -> CharMap:
-    return charmap_from_dict(load_json(path))
+    return _load(path, charmap_from_dict)
 
 
 # -- ResolutionReport ---------------------------------------------------------
@@ -208,8 +202,7 @@ def report_from_dict(d) -> ResolutionReport:
             Step(**{name: parse(sd[name], f"report.steps[{i}].{name}")
                     for name, parse in _STEP_FIELDS})
         )
-    terminated = _expect_str(d["terminated"], "report.terminated")
-    if terminated not in TERMINATED:
+    if (terminated := d["terminated"]) not in TERMINATED:
         raise SchemaError(f"report.terminated: expected one of {TERMINATED}, got {terminated!r}")
     initial = _expect_int(d["initial_bad_count"], "report.initial_bad_count")
     P, L = polytope_from_dict(d["final_polytope"]), charmap_from_dict(d["final_map"])
@@ -228,6 +221,10 @@ def report_from_dict(d) -> ResolutionReport:
         ):
             if value != expected:
                 raise SchemaError(f"report.steps[{i}].{name}: expected {expected}, got {value}")
+        face, top = list(s.face), s.new_facet_index  # a run cuts only facets it already has
+        if not 2 <= len(face) <= P.dim or face != sorted(set(face).intersection(range(top))):
+            raise SchemaError(f"report.steps[{i}].face: expected 2 to {P.dim} increasing "
+                              f"facets below {top}, got {face}")
     if len(steps) > initial or (len(steps) == initial) != (terminated == "success"):
         raise SchemaError(f"report.terminated: {terminated!r} after {len(steps)} of {initial} cuts")
     return ResolutionReport(initial, tuple(steps), P, L, terminated)
@@ -238,4 +235,4 @@ def save_report(r: ResolutionReport, path) -> None:
 
 
 def load_report(path) -> ResolutionReport:
-    return report_from_dict(load_json(path))
+    return _load(path, report_from_dict)

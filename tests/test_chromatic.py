@@ -107,6 +107,15 @@ def test_graph_api_known_small_cases():
     assert chromatic_of_graph(0, [], time_budget=0) == empty
     with pytest.raises(ValueError, match="^node count must be at least 0, got -1$"):
         chromatic_of_graph(-1, [])
+    for n, edges, message in (
+        (True, [], "node count must be an integer, got True"),
+        (2.0, [], "node count must be an integer, got 2.0"),
+        (3, [(True, 2)], "edge (True, 2) has an endpoint that is not an integer"),
+        (3, [(0, 1.0)], "edge (0, 1.0) has an endpoint that is not an integer"),
+    ):
+        with pytest.raises(ValueError) as exc:
+            chromatic_of_graph(n, edges)
+        assert str(exc.value) == message
     assert chromatic_of_graph(3, [(0, 1)], time_budget=float("inf")).chi == 2
     for budget in (float("nan"), -1.0, True):
         with pytest.raises(ValueError) as exc:

@@ -199,12 +199,24 @@ def test_usage_and_io_errors_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: time budget must be a number at least 0, got nan\n"
 
 
+DEEP = "[" * 100_000  # nested past the recursion limit of any interpreter
+
+
+def _recursion_message(text):
+    try:
+        json.loads(text)
+    except RecursionError as exc:  # the interpreter's own wording, which varies by version
+        return str(exc)
+
+
 LOAD_ERRORS = {
     "missing.json": "[Errno 2] No such file or directory: 'missing.json'",
     "malformed.json": "malformed.json: Expecting property name enclosed in double quotes: "
                       "line 1 column 2 (char 1)",
-    "zero.json": "vectors[2]: zero vector is not allowed",
+    "zero.json": "zero.json: vectors[2]: zero vector is not allowed",
     "bin.json": "bin.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
+    "deep.json": f"deep.json: {_recursion_message(DEEP)}",
+    "dup.json": "dup.json: polytope: duplicate-vertex: vertex [0, 1, 2, 3] appears 2 times",
 }
 POLYTOPE_READS = [  # {} is the polytope file the command reads
     "check {} map.json", "fvector {}", "decorate {} --preset identity-first -o out.json",
@@ -215,12 +227,12 @@ MAP_READS = [  # {} is the map file the command reads
     "check poly.json {}", "resolve poly.json {} -o out.json out-map.json",
     "chromatic poly.json --hint {}", "lift-check poly.json {}",
 ]
+UNREADABLE = ("missing.json", "malformed.json", "bin.json", "deep.json")
 
 
 @pytest.mark.parametrize("argv, broken", [
-    *((line.format(f), f) for line in POLYTOPE_READS
-      for f in ("missing.json", "malformed.json", "bin.json")),
-    *((line.format(f), f) for line in MAP_READS for f in LOAD_ERRORS),
+    *((line.format(f), f) for line in POLYTOPE_READS for f in (*UNREADABLE, "dup.json")),
+    *((line.format(f), f) for line in MAP_READS for f in (*UNREADABLE, "zero.json")),
     # the polytope is read before the map
     ("check missing.json malformed.json", "missing.json"),
     ("lift-check malformed.json zero.json", "malformed.json"),
@@ -234,6 +246,10 @@ def test_a_file_that_does_not_load_exits_1_naming_why(tmp_path, monkeypatch, cap
     Path("bin.json").write_bytes(b"\xff\xfe")
     Path("zero.json").write_text('{"n": 4, "mode": "general", "vectors": [1, 2, 0, 4, 8]}',
                                  encoding="utf-8")
+    Path("deep.json").write_text(DEEP, encoding="utf-8")
+    simplex = json.loads(Path("poly.json").read_text(encoding="utf-8"))
+    simplex["vertices"].append(simplex["vertices"][0])
+    Path("dup.json").write_text(json.dumps(simplex), encoding="utf-8")
     capsys.readouterr()
     assert main(argv.split()) == 1
     assert capsys.readouterr() == ("", f"error: {LOAD_ERRORS[broken]}\n")

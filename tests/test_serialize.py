@@ -1,4 +1,6 @@
+import functools
 import json
+import operator
 
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,15 @@ from polychrome.resolution import resolve
 from polychrome.serialize import (
     SchemaError,
     charmap_from_dict,
+    charmap_to_dict,
     dumps,
     load_charmap,
     load_polytope,
     load_report,
     polytope_from_dict,
+    polytope_to_dict,
     report_from_dict,
+    report_to_dict,
     save_charmap,
     save_polytope,
     save_report,
@@ -96,11 +101,11 @@ def test_missing_and_extra_fields_rejected():
 
 
 def test_wrong_types_rejected():
-    with pytest.raises(SchemaError, match="dim"):
+    with pytest.raises(InvariantError, match="dim"):
         polytope_from_dict({"dim": "4", "facets": [], "vertices": []})
-    with pytest.raises(SchemaError, match="vectors"):
+    with pytest.raises(InvariantError, match="vectors"):
         charmap_from_dict({"n": 4, "mode": "general", "vectors": [1.5]})
-    with pytest.raises(SchemaError, match="mode"):
+    with pytest.raises(InvariantError, match="mode"):
         charmap_from_dict({"n": 4, "mode": 3, "vectors": [1]})
 
 
@@ -337,6 +342,11 @@ def _set_step0(**fields):
                  id="initial-bad-count"),
     pytest.param(lambda d: d.update(terminated="budget_exhausted"), "terminated",
                  id="not-success-after-the-last-cut"),
+    # step 0 cuts (0, 1, 4) and creates facet 8
+    pytest.param(_set_step0(face=[0, 99, 4]), r"steps\[0\]\.face", id="face-out-of-range"),
+    pytest.param(_set_step0(face=[1, 1, 4]), r"steps\[0\]\.face", id="face-repeats"),
+    pytest.param(_set_step0(face=[4, 1, 0]), r"steps\[0\]\.face", id="face-unsorted"),
+    pytest.param(_set_step0(face=[0, 1, 8]), r"steps\[0\]\.face", id="face-own-new-facet"),
 ])
 def test_a_trace_that_contradicts_itself_is_refused(tmp_path, tamper, field):
     P = dual_cyclic(4, 8)
@@ -356,3 +366,46 @@ def test_a_trace_claiming_success_before_the_last_cut_is_refused(tmp_path):
     data["terminated"] = "success"
     with pytest.raises(SchemaError, match=r"^report\.terminated: 'success' after 3 of 31 cuts$"):
         report_from_dict(data)
+
+
+# a square whose map is singular at the vertex of facets 0 and 1: a one-step trace
+_SQUARE, _SQUARE_MAP = dual_cyclic(2, 4), CharMap(2, (1, 1, 2, 3))
+_VALID_DOCUMENTS = {
+    "polytope": (polytope_from_dict, polytope_to_dict(_SQUARE)),
+    "charmap": (charmap_from_dict, charmap_to_dict(_SQUARE_MAP)),
+    "report": (report_from_dict, report_to_dict(resolve(_SQUARE, _SQUARE_MAP))),
+}
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 40) | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _paths(x, path=()):
+    """The key or index path of every value in a JSON document, the root's first."""
+    yield path
+    if isinstance(x, (dict, list)):
+        for key, value in x.items() if isinstance(x, dict) else enumerate(x):
+            yield from _paths(value, path + (key,))
+
+
+@pytest.mark.parametrize("kind", _VALID_DOCUMENTS)
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_loader_refuses_any_value_anywhere_with_a_value_error(kind, data):
+    # the loaders check only a document's shape and leave its content to CharMap and
+    # validate; those checks must still turn every misfit into a ValueError
+    from_dict, valid = _VALID_DOCUMENTS[kind]
+    path = data.draw(st.sampled_from(list(_paths(valid))))
+    value = data.draw(_JSON_VALUES)
+    doc = json.loads(json.dumps(valid))
+    if path:
+        *head, last = path
+        functools.reduce(operator.getitem, head, doc)[last] = value
+    else:
+        doc = value
+    try:
+        from_dict(doc)
+    except ValueError:
+        pass
