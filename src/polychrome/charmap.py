@@ -31,7 +31,9 @@ class CharMap:
     mode: str = "general"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vectors", tuple(self.vectors))
+        if not isinstance(vectors := self.vectors, (list, tuple)):
+            raise InvariantError(f"vectors: expected a list or tuple, got {type(vectors).__name__}")
+        object.__setattr__(self, "vectors", tuple(vectors))
         if self.mode not in MODES:
             raise InvariantError(f"mode: expected one of {MODES}, got {self.mode!r}")
         if isinstance(self.n, bool) or not isinstance(self.n, int):

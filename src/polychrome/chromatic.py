@@ -3,7 +3,9 @@
 The polytopes built here carry huge cliques (every pair of original facets
 meets), so the clique bound usually certifies the greedy or hinted coloring
 immediately; DSATUR branch and bound is the fallback that closes any gap.
-Adjacency and search state are int bitmasks, which Python ints make unbounded.
+Adjacency and search state are int bitmasks, which Python ints make unbounded;
+DSATUR keeps each node's saturation as a bit-sliced counter across a few such
+masks and prunes every branch against the best colouring found so far.
 Both searches run from an explicit stack, so graph size sets no recursion
 limit, and both read the certificate's deadline every 256 nodes; a search cut
 short leaves a bounds_only certificate with the bounds it reached.
@@ -111,11 +113,18 @@ def _dsatur(
     Branches on the uncoloured node with the most distinct neighbour colours,
     then the highest degree, then the lowest index; tries colours smallest
     first. Precolouring the clique 0, 1, ... loses no colouring and kills the
-    colour-permutation blowup. Returns (best colouring or None, finished in time).
+    colour-permutation blowup. Saturations are bit-sliced counters: bit u of
+    sat[j] is bit j of node u's saturation, so a child adds its newly saturated
+    neighbours with one ripple carry, and the node to branch on is found by
+    narrowing the uncoloured nodes from the top slice down. Every frame reads
+    the incumbent live: it tries a colour only while the child would still use
+    fewer than best_k colours. A skipped subtree holds no better colouring, so
+    the incumbents come in the order an unpruned search finds them. Returns
+    (best colouring or None, finished in time).
     """
     n = len(adj)
-    # relabelled by (degree descending, index ascending), the node to branch
-    # on is the lowest bit of the highest non-empty saturation bucket
+    # relabelled by (degree descending, index ascending), a tie in saturation
+    # goes to the lowest bit
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     rank = {v: r for r, v in enumerate(order)}
     radj = [sum(1 << rank[u] for u in _bits(adj[v])) for v in order]
@@ -125,50 +134,47 @@ def _dsatur(
         colors[rank[v]] = c
         uncol ^= 1 << rank[v]
         near.append(radj[rank[v]])
-    buckets = [0] * (len(clique) + 1)  # buckets[s]: the uncoloured nodes of saturation s
-    for r in _bits(uncol):
-        buckets[sum((m >> r) & 1 for m in near)] |= 1 << r
+    sat = [0] * (n + 1).bit_length()  # a saturation is at most n
+    for gain in near:
+        gain &= uncol
+        for j, s in enumerate(sat):
+            sat[j], gain = s ^ gain, s & gain
     best, used, nodes = None, len(clique), 0
-    stack: list[list] = []  # frames: used, buckets, near, uncol, node, next colour, limit
+    stack: list[list] = []  # frames: used, sat, near, uncol, node, next colour
     while True:
         nodes += 1
-        if _past(deadline, nodes):
+        if nodes & 255 == 1 and _past(deadline, nodes):
             return best, False
-        if not uncol:
-            if used < best_k:
-                best_k, best = used, [colors[rank[v]] for v in range(n)]
-                if best_k <= lower:
-                    return best, True
+        if not uncol:  # a node is made only while it uses fewer than best_k colours
+            best_k, best = used, [colors[rank[v]] for v in range(n)]
+            if best_k <= lower:
+                return best, True
         else:
-            s = len(buckets) - 1
-            while not buckets[s]:
-                s -= 1
-            v = (buckets[s] & -buckets[s]).bit_length() - 1
-            # the colour limit is fixed on entry, by the incumbent as it stood then
-            stack.append([used, buckets, near, uncol, v, 0, min(used + 1, best_k - 1)])
+            top = uncol
+            for s in reversed(sat):
+                top = top & s or top
+            stack.append([used, sat, near, uncol, (top & -top).bit_length() - 1, 0])
         while stack:  # paint the next child, backtracking as needed
             frame = stack[-1]
-            used, old, near, uncol, v, c, limit = frame
+            used, sat, near, uncol, v, c = frame
             while c < used and (near[c] >> v) & 1:
                 c += 1
-            if c >= limit:
+            if c > used or c >= best_k - 1 or used >= best_k:
                 stack.pop()
                 continue
             frame[5] = c + 1
-            near = near + [0] if c == used else near[:]
-            used = max(used, c + 1)
+            if c < used:
+                near = near[:]
+            else:
+                near, used = near + [0], used + 1
             gain = radj[v] & uncol & ~near[c]
             near[c] |= radj[v]
             colors[v] = c
-            uncol &= ~(1 << v)
-            # v leaves its bucket; its newly saturated neighbours rise by one
-            buckets, moved = [], 0
-            for b in old:
-                rise = b & gain
-                buckets.append((b ^ rise) & uncol | moved)
-                moved = rise
-            if moved:
-                buckets.append(moved)
+            uncol ^= 1 << v
+            sat, j = sat[:], 0
+            while gain:  # ripple carry: each newly saturated neighbour rises by one
+                sat[j], gain = sat[j] ^ gain, sat[j] & gain
+                j += 1
             break
         else:
             return best, True
@@ -240,7 +246,11 @@ def chromatic_of_graph(
     if n < 0:
         raise ValueError(f"node count must be at least 0, got {n}")
     adj = [0] * n
-    for u, v in edges:
+    for e in edges:
+        try:
+            u, v = e
+        except (TypeError, ValueError):
+            raise ValueError(f"edge {e!r} is not a pair of nodes") from None
         if type(u) is not int or type(v) is not int:
             raise ValueError(f"edge ({u!r}, {v!r}) has an endpoint that is not an integer")
         if u == v:

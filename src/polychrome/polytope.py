@@ -173,6 +173,9 @@ def facet_adjacency(P: Polytope) -> list[int]:
 
 def _cut(P: Polytope, S):
     """(face, hosts, created) of cutting S, kept on P; ValueError unless a face of codim 2..n."""
+    S = tuple(S)
+    if bad := [s for s in S if isinstance(s, bool) or not isinstance(s, int)]:
+        raise ValueError(f"face {list(S)!r}: facet {bad[0]!r} is not an integer")
     face = tuple(sorted(set(S)))
     if (last := P.__dict__.get("_last_cut")) is not None and last[0] == face:
         return last

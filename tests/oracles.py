@@ -4,13 +4,16 @@ Everything here recomputes results from first principles along a different
 code path than the library: span enumeration instead of elimination, raw
 subset filters instead of incidence walks, permutation expansion instead of
 fraction-free elimination, a full validation scan instead of a certificate
-inherited across truncations.
+inherited across truncations, saturation buckets instead of bit-sliced
+counters.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Sequence
 
+from polychrome.chromatic import _bits, _past
 from polychrome.polytope import Polytope, validate
 
 
@@ -152,3 +155,82 @@ def chromatic_bruteforce(n: int, edges) -> int:
 
 def is_proper(n: int, edges, colors) -> bool:
     return all(colors[u] != colors[v] for u, v in edges)
+
+
+# chromatic._dsatur as it was before bit-sliced saturation counters and a live
+# incumbent bound: one saturation bucket per level, rebuilt for every child, and
+# a colour limit fixed when a frame is pushed. The faster search must return
+# exactly what this returns.
+def dsatur_by_buckets(
+    adj: list[int],
+    clique: Sequence[int],
+    best_k: int,
+    lower: int,
+    deadline: float | None,
+) -> tuple[list[int] | None, bool]:
+    """DSATUR branch and bound (Brélaz) for a colouring with fewer than best_k colours.
+
+    Branches on the uncoloured node with the most distinct neighbour colours,
+    then the highest degree, then the lowest index; tries colours smallest
+    first. Precolouring the clique 0, 1, ... loses no colouring and kills the
+    colour-permutation blowup. Returns (best colouring or None, finished in time).
+    """
+    n = len(adj)
+    # relabelled by (degree descending, index ascending), the node to branch
+    # on is the lowest bit of the highest non-empty saturation bucket
+    order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
+    rank = {v: r for r, v in enumerate(order)}
+    radj = [sum(1 << rank[u] for u in _bits(adj[v])) for v in order]
+    colors = [-1] * n  # by rank
+    uncol, near = (1 << n) - 1, []  # near[c]: the nodes next to a node coloured c
+    for c, v in enumerate(clique):
+        colors[rank[v]] = c
+        uncol ^= 1 << rank[v]
+        near.append(radj[rank[v]])
+    buckets = [0] * (len(clique) + 1)  # buckets[s]: the uncoloured nodes of saturation s
+    for r in _bits(uncol):
+        buckets[sum((m >> r) & 1 for m in near)] |= 1 << r
+    best, used, nodes = None, len(clique), 0
+    stack: list[list] = []  # frames: used, buckets, near, uncol, node, next colour, limit
+    while True:
+        nodes += 1
+        if _past(deadline, nodes):
+            return best, False
+        if not uncol:
+            if used < best_k:
+                best_k, best = used, [colors[rank[v]] for v in range(n)]
+                if best_k <= lower:
+                    return best, True
+        else:
+            s = len(buckets) - 1
+            while not buckets[s]:
+                s -= 1
+            v = (buckets[s] & -buckets[s]).bit_length() - 1
+            # the colour limit is fixed on entry, by the incumbent as it stood then
+            stack.append([used, buckets, near, uncol, v, 0, min(used + 1, best_k - 1)])
+        while stack:  # paint the next child, backtracking as needed
+            frame = stack[-1]
+            used, old, near, uncol, v, c, limit = frame
+            while c < used and (near[c] >> v) & 1:
+                c += 1
+            if c >= limit:
+                stack.pop()
+                continue
+            frame[5] = c + 1
+            near = near + [0] if c == used else near[:]
+            used = max(used, c + 1)
+            gain = radj[v] & uncol & ~near[c]
+            near[c] |= radj[v]
+            colors[v] = c
+            uncol &= ~(1 << v)
+            # v leaves its bucket; its newly saturated neighbours rise by one
+            buckets, moved = [], 0
+            for b in old:
+                rise = b & gain
+                buckets.append((b ^ rise) & uncol | moved)
+                moved = rise
+            if moved:
+                buckets.append(moved)
+            break
+        else:
+            return best, True

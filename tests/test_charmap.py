@@ -59,6 +59,13 @@ def test_extended_refuses_the_appended_vector_as_the_constructor_would(mode, v, 
     assert L.extended(7) == CharMap(4, vectors + (7,), mode)
 
 
+@pytest.mark.parametrize("vectors", ["ab", 5, {1: 2}, range(1, 3)])
+def test_charmap_refuses_vectors_that_are_not_a_list_or_tuple(vectors):
+    with pytest.raises(InvariantError) as exc:
+        CharMap(4, vectors)
+    assert str(exc.value) == f"vectors: expected a list or tuple, got {type(vectors).__name__}"
+
+
 def test_charmap_rejects_unknown_mode():
     with pytest.raises(InvariantError, match="mode"):
         CharMap(4, (1, 2), "weird")

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from polychrome import chromatic
 from polychrome.charmap import CharMap
 from polychrome.chromatic import (
     ChromaticCertificate,
+    _dsatur,
     _verify,
     chromatic_number,
     chromatic_of_graph,
@@ -16,7 +18,7 @@ from polychrome.chromatic import (
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.pipelines import reproduce
 
-from .oracles import chromatic_bruteforce, is_proper
+from .oracles import chromatic_bruteforce, dsatur_by_buckets, is_proper
 
 
 def test_pentagon_needs_three_colors():
@@ -112,6 +114,8 @@ def test_graph_api_known_small_cases():
         (2.0, [], "node count must be an integer, got 2.0"),
         (3, [(True, 2)], "edge (True, 2) has an endpoint that is not an integer"),
         (3, [(0, 1.0)], "edge (0, 1.0) has an endpoint that is not an integer"),
+        (3, [5], "edge 5 is not a pair of nodes"),
+        (3, [(0, 1, 2)], "edge (0, 1, 2) is not a pair of nodes"),
     ):
         with pytest.raises(ValueError) as exc:
             chromatic_of_graph(n, edges)
@@ -133,12 +137,7 @@ def test_graph_api_names_an_edge_with_an_endpoint_out_of_range(edge):
 
 def test_max_clique_on_known_graphs():
     # K4 with a pendant vertex hanging off node 3
-    n = 5
-    edges = [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)]
-    masks = [0] * n
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    masks = _masks(5, [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3), (3, 4)])
     assert max_clique(masks) == [0, 1, 2, 3]
     assert len(max_clique([0, 0, 0])) == 1  # edgeless graph: a single node
     assert max_clique([]) == []
@@ -188,16 +187,81 @@ def test_long_odd_cycle_is_coloured_without_recursion():
 
 
 def test_clique_search_honours_the_budget():
-    rng = random.Random(7)
     n = 120
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.9]
-    masks = [0] * n
-    for u, v in edges:
-        masks[u] |= 1 << v
-        masks[v] |= 1 << u
+    edges = _gnp(n, 0.9, 7)
     t0 = time.monotonic()
     cert = chromatic_of_graph(n, edges, time_budget=0.5)
     assert time.monotonic() - t0 < 3
     assert cert.status == "bounds_only"
     assert cert.lower == len(cert.clique) < cert.upper
-    _verify(masks, cert)
+    _verify(_masks(n, edges), cert)
+
+
+def _masks(n: int, edges) -> list[int]:
+    masks = [0] * n
+    for u, v in edges:
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return masks
+
+
+def _gnp(n: int, p: float, seed: int) -> list[tuple[int, int]]:
+    rng = random.Random(seed)
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+
+
+@st.composite
+def dsatur_calls(draw):
+    n = draw(st.integers(0, 24))
+    p = draw(st.sampled_from((0.2, 0.4, 0.6, 0.8)))
+    adj = _masks(n, _gnp(n, p, draw(st.integers(0, 2**32))))
+    clique = max_clique(adj) if draw(st.booleans()) else []
+    lower = draw(st.integers(len(clique), n))
+    return adj, clique, draw(st.integers(lower + 1, n + 1)), lower
+
+
+@given(dsatur_calls())
+@settings(max_examples=300, deadline=None)
+def test_dsatur_returns_what_the_bucket_search_returns(call):
+    # best colouring and finished flag alike, for a proof search (lower = the
+    # clique) as for greedy's first descent (lower = n, best_k = n + 1)
+    assert _dsatur(*call, None) == dsatur_by_buckets(*call, None)
+
+
+def test_graph_certificates_match_the_bucket_search(monkeypatch):
+    graphs = [(40, p, _gnp(40, p, seed)) for p in (0.3, 0.5, 0.7, 0.9) for seed in (1, 2)]
+    certs = [chromatic_of_graph(n, edges) for n, _, edges in graphs]
+    monkeypatch.setattr(chromatic, "_dsatur", dsatur_by_buckets)
+    for (n, p, edges), cert in zip(graphs, certs):
+        assert cert == chromatic_of_graph(n, edges), f"G(40, {p})"
+        assert cert.status == "exact"
+
+
+def _mycielski(k: int) -> tuple[int, list[tuple[int, int]]]:
+    """M_k: triangle-free with chromatic number k, from M_2 = K_2."""
+    n, edges = 2, [(0, 1)]
+    for _ in range(k - 2):
+        edges = (edges + [(a, n + b) for a, b in edges] + [(b, n + a) for a, b in edges]
+                 + [(n + i, 2 * n) for i in range(n)])
+        n = 2 * n + 1
+    return n, edges
+
+
+@pytest.mark.parametrize("k", [4, 5])
+def test_mycielski_graphs_are_certified_by_search(k):
+    n, edges = _mycielski(k)
+    cert = chromatic_of_graph(n, edges)
+    # a 2-clique bounds nothing: only the exhausted search proves chi = k
+    assert (cert.chi, cert.status, cert.lower, len(cert.clique)) == (k, "exact", k, 2)
+    assert is_proper(n, edges, cert.coloring)
+
+
+def test_colouring_search_honours_the_budget():
+    n, edges = _mycielski(6)  # 47 nodes; proving chi = 6 outlasts the budget
+    t0 = time.monotonic()
+    cert = chromatic_of_graph(n, edges, time_budget=0.1)
+    assert time.monotonic() - t0 < 2
+    assert cert.status == "bounds_only"
+    assert cert.lower == len(cert.clique) == 2 < cert.upper
+    assert is_proper(n, edges, cert.coloring)
+    _verify(_masks(n, edges), cert)

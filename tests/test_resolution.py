@@ -85,7 +85,11 @@ def test_resolution_vector_rejects_nonface():
     ((3, 3), "can only truncate faces of codimension 2..4, got 1 facets"),
     ((0, 1, 2, 3, 4), "can only truncate faces of codimension 2..4, got 5 facets"),
     ((4, 2, 0), "[0, 2, 4] is not a face of the polytope"),
-], ids=["facet", "repeated-facet", "too-wide", "non-face"])
+    ([0, 1, "x"], "face [0, 1, 'x']: facet 'x' is not an integer"),
+    ([[0], [1]], "face [[0], [1]]: facet [0] is not an integer"),
+    ([0, 1.0, 3], "face [0, 1.0, 3]: facet 1.0 is not an integer"),
+    ([0, True, 3], "face [0, True, 3]: facet True is not an integer"),
+], ids=["facet", "repeated-facet", "too-wide", "non-face", "str", "list", "float", "bool"])
 def test_resolution_vector_refuses_what_truncate_face_refuses(S, message):
     P = dual_cyclic(4, 15)
     L = preset("paper-example", P)
