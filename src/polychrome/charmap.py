@@ -12,7 +12,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from . import gf2
-from .polytope import InvariantError, Polytope, hosts
+from .polytope import InvariantError, Polytope, _facets, hosts
 
 MODES = ("general", "oriented")
 
@@ -90,7 +90,7 @@ def _check_aligned(P: Polytope, L: CharMap) -> None:
 def is_nonsingular_at(P: Polytope, L: CharMap, V) -> bool:
     """True iff the n facet vectors at vertex V are GF(2)-independent."""
     _check_aligned(P, L)
-    key = tuple(sorted(V))
+    key = tuple(sorted(_facets(V)))
     if hosts(P, key) != [key]:
         raise ValueError(f"{list(key)} is not a vertex of the polytope")
     return gf2.rank([L.vectors[i] for i in key], L.n) == L.n

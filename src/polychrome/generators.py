@@ -39,6 +39,8 @@ def dual_cyclic(n: int, m: int) -> Polytope:
     evenness condition. They are generated directly, and the result is
     validated in full.
     """
+    if type(n) is not int or type(m) is not int:  # a bool is no size
+        raise ValueError(f"sizes must be integers, got n={n!r}, m={m!r}")
     if n < 2:
         raise ValueError(f"dimension must be at least 2, got {n}")
     if m <= n:

@@ -13,9 +13,11 @@ MAX_WIDTH = 16
 
 
 def _check(vectors: Iterable[int], n: int) -> None:
-    if not 1 <= n <= MAX_WIDTH:
-        raise ValueError(f"vector width must be in [1, {MAX_WIDTH}], got {n}")
+    if type(n) is not int or not 1 <= n <= MAX_WIDTH:  # a bool is no width
+        raise ValueError(f"vector width must be an integer in [1, {MAX_WIDTH}], got {n!r}")
     for i, v in enumerate(vectors):
+        if type(v) is not int:
+            raise ValueError(f"vector {i} = {v!r} is not an integer")
         if v < 0 or v >> n:
             raise ValueError(f"vector {i} = {v} does not fit in {n} bits")
 
@@ -35,8 +37,9 @@ def _rank(vectors: Iterable[int]) -> int:
 
 def rank(vectors: Sequence[int], n: int) -> int:
     """GF(2) rank of the vectors, by Gaussian elimination on bitmasks."""
-    _check(vectors, n)
-    return _rank(vectors)
+    vecs = list(vectors)  # an iterator would be spent by the check
+    _check(vecs, n)
+    return _rank(vecs)
 
 
 def parity(v: int) -> int:
@@ -84,6 +87,8 @@ def circuits(vectors: Sequence[int], n: int) -> list[tuple[int, ...]]:
 
 def vector_str(v: int) -> str:
     """Human-readable form of a bitmask, e.g. 5 -> 'e1+e3'."""
+    if type(v) is not int or v < 0:
+        raise ValueError(f"vector must be a nonnegative integer, got {v!r}")
     if v == 0:
         return "0"
     return "+".join(f"e{i + 1}" for i in range(v.bit_length()) if (v >> i) & 1)

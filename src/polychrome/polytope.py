@@ -23,7 +23,7 @@ class InvariantError(ValueError):
 class Polytope:
     """Canonical: each vertex sorted, then the vertex list, so JSON output diffs and
     replays byte for byte. The constructor sorts; a certified cut is spliced in order.
-    == and hash read only the fields, not what P caches: its certificate and last cut."""
+    == and hash read only the fields, not what P caches: its certified mark and last cut."""
     dim: int
     facet_labels: tuple[str, ...]
     vertices: tuple[tuple[int, ...], ...]
@@ -55,11 +55,11 @@ def validate(P: Polytope) -> list[str]:
 
     Checks are purely combinatorial. Realizability as a convex polytope is
     not decided here: inputs come from known constructions and from surgeries
-    that preserve it. A clean scan certifies P by caching its facet-coverage
-    counts on it; a certified P returns [] at once, exact as P is frozen, and
-    truncate_face hands the certificate on to each cut its local check accepts.
+    that preserve it. A clean scan marks P certified; a certified P returns []
+    at once, exact as P is frozen, and so does each cut truncate_face makes of it,
+    since a cut of a valid polytope is valid (see _cut).
     """
-    return [] if "_coverage" in P.__dict__ else _scan(P)
+    return [] if "_certified" in P.__dict__ else _scan(P)
 
 
 def _scan(P: Polytope) -> list[str]:
@@ -101,12 +101,13 @@ def _scan(P: Polytope) -> list[str]:
             )
 
     # each edge (codim n-1 face) must have exactly two endpoints
-    for S, count in sorted((S, c) for S, c in _ridges(set(well_formed), n).items() if c != 2):
+    ridges = Counter(_faces(set(well_formed), n - 1))
+    for S, count in sorted((S, c) for S, c in ridges.items() if c != 2):
         diags.append(
             f"edge-condition: facets {list(S)} lie on {count} common vertices, expected 2"
         )
     if not diags:
-        P.__dict__["_coverage"] = tuple(coverage[i] for i in range(m))
+        P.__dict__["_certified"] = True
     return diags
 
 
@@ -117,11 +118,6 @@ def _faces(vertices, k: int):
     )
 
 
-def _ridges(vertices, n: int) -> Counter[tuple[int, ...]]:
-    """How many of the given vertices lie on each ridge (n - 1 facets)."""
-    return Counter(_faces(vertices, n - 1))
-
-
 def require_valid(P: Polytope, what: str) -> Polytope:
     """P itself, or InvariantError(what + its diagnostics) if validate finds any."""
     diags = validate(P)
@@ -130,12 +126,20 @@ def require_valid(P: Polytope, what: str) -> Polytope:
     return P
 
 
+def _facets(S) -> tuple:
+    """S as a tuple of facet indices; ValueError if one is a bool or not an int."""
+    S = tuple(S)
+    if bad := [s for s in S if isinstance(s, bool) or not isinstance(s, int)]:
+        raise ValueError(f"face {list(S)!r}: facet {bad[0]!r} is not an integer")
+    return S
+
+
 def hosts(P: Polytope, S) -> list[tuple[int, ...]]:
     """The vertices lying on the face S, in vertex order; empty iff S is no face.
 
     Scans P's vertex tuples one facet of S at a time.
     """
-    fs = frozenset(S)
+    fs = frozenset(_facets(S))
     if not fs:
         raise ValueError("face set must be nonempty")
     on = P.vertices
@@ -172,11 +176,22 @@ def facet_adjacency(P: Polytope) -> list[int]:
 
 
 def _cut(P: Polytope, S):
-    """(face, hosts, created) of cutting S, kept on P; ValueError unless a face of codim 2..n."""
-    S = tuple(S)
-    if bad := [s for s in S if isinstance(s, bool) or not isinstance(s, int)]:
-        raise ValueError(f"face {list(S)!r}: facet {bad[0]!r} is not an integer")
-    face = tuple(sorted(set(S)))
+    """(face, hosts, created) of cutting S, kept on P; ValueError unless a face of codim 2..n.
+
+    A cut of a certified P (every _scan check passed) passes _scan as well. Say S has
+    k facets and hosts H, and F' = m is the new facet:
+    - each created V - s + F' is sorted and has n distinct facets, all in range;
+    - no two coincide: hosts V != W with V - s = W - t would both lack s;
+    - a ridge R without F' that contains S lay on hosts only and now on none; otherwise
+      it is V - s for at most one host V, and ends on V's other endpoint (which lacks
+      s, so is kept) and on R + F';
+    - a ridge Q + F' ends on two created vertices: if Q u S is a host, Q lacks two of its
+      facets, both in S; if Q u S is a ridge of P, it lies on two hosts and Q lacks one
+      facet of S; otherwise no created vertex lies on it;
+    - coverage: per host, facets of S gain k - 2, its other facets k - 1 and F' gets k;
+      the hosts form an (n - k)-regular graph, so F' lies on k|H| >= k(n - k + 1) >= n.
+    """
+    face = tuple(sorted(set(_facets(S))))
     if (last := P.__dict__.get("_last_cut")) is not None and last[0] == face:
         return last
     if not 2 <= (k := len(face)) <= P.dim:
@@ -199,17 +214,18 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]
     Truncating an edge of a 4-polytope (|S| = 3, two endpoints) creates the
     six vertices of a triangular-prism facet; truncating a vertex (|S| = 4)
     creates a tetrahedron facet. The new facet is the last one, index
-    P.num_facets, and the created vertices are exactly the vertices on it. An
-    invalid result raises InvariantError with validate's diagnostics. A cut of a certified
-    P is checked only where it changed (_cut_certificate) and spliced into P's sorted
-    vertex list (_splice); other results are validated in full.
+    P.num_facets, and the created vertices are exactly the vertices on it.
+    The cut of a certified P is certified by the rule itself (see _cut): it is
+    spliced into P's sorted vertex list (_splice) and not checked. The cut of an
+    uncertified P is validated in full; if invalid, it raises InvariantError with
+    validate's diagnostics.
     """
     face, on, created = _cut(P, S)
     labels = P.facet_labels + ("T(" + ",".join(P.facet_labels[i] for i in face) + ")",)
-    if (certificate := _cut_certificate(P, on, created)) and (vertices := _splice(P, on, created)):
+    if "_certified" in P.__dict__:
         result = object.__new__(Polytope)  # fields as given: no __post_init__ re-sort
-        result.__dict__.update(dim=P.dim, facet_labels=labels, _coverage=certificate,
-                               vertices=vertices)
+        result.__dict__.update(dim=P.dim, facet_labels=labels, _certified=True,
+                               vertices=_splice(P, on, created))
     else:
         kept = tuple(itertools.filterfalse(set(on).__contains__, P.vertices))
         result = Polytope(P.dim, labels, kept + created)
@@ -217,42 +233,10 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]
 
 
 def _splice(P: Polytope, on, created):
-    """P's vertices less the hosts (in vertex order) plus `created`; None if bisect misses one."""
-    out, i = list(P.vertices), 0
+    """P's vertices less the hosts `on`, which are all among them, plus `created`, sorted."""
+    out = list(P.vertices)
     for V in on:
-        i = bisect.bisect_left(out, V, i)
-        if out[i:i + 1] != [V]:
-            return None
-        del out[i]
+        del out[bisect.bisect_left(out, V)]
     for C in created:
         bisect.insort(out, C)
     return tuple(out)
-
-
-def _cut_certificate(P: Polytope, on, created) -> tuple[int, ...] | None:
-    """The certificate of P with the hosts `on` replaced by `created`, or None.
-
-    None unless P is certified and the cut passes a local check: each created
-    vertex lists n distinct facets in range, the new one among them, and no
-    two coincide; every facet keeps at least n vertices; every ridge of a host
-    or a created vertex ends up on 0 or 2 vertices. A ridge with the new facet
-    started on none; one without it lies on a host, so P certified it on 2, and
-    it is the rest C[:-1] of each created C on it. All else is as P certified it.
-    """
-    n, new, parent = P.dim, P.num_facets, P.__dict__.get("_coverage")
-    if parent is None or len(set(created)) != len(created):
-        return None
-    for C in created:
-        if len(C) != n or C[0] < 0 or C[-1] != new or sorted(set(C)) != list(C):
-            return None
-    delta = Counter(itertools.chain.from_iterable(created))
-    delta.subtract(itertools.chain.from_iterable(on))
-    coverage = [*parent, 0]
-    for i, d in delta.items():  # only the touched facets
-        coverage[i] += d
-    rests = [C[:-1] for C in created]
-    if min(coverage) < n or set(Counter(_faces(rests, n - 2)).values()) != {2}:
-        return None
-    ridges = _ridges(on, n)
-    ridges.subtract(rests)  # hosts on each ridge less created vertices: 2 - end count
-    return tuple(coverage) if set(ridges.values()) <= {0, 2} else None

@@ -4,8 +4,8 @@ Everything here recomputes results from first principles along a different
 code path than the library: span enumeration instead of elimination, raw
 subset filters instead of incidence walks, permutation expansion instead of
 fraction-free elimination, a full validation scan instead of a certificate
-inherited across truncations, saturation buckets instead of bit-sliced
-counters.
+inherited across truncations, the truncation rule on raw subsets instead of
+a spliced cut, saturation buckets instead of bit-sliced counters.
 """
 
 from __future__ import annotations
@@ -99,6 +99,20 @@ def bad_faces_bruteforce(P, L) -> dict[tuple[int, ...], tuple[int, ...]]:
 def validate_from_scratch(P) -> list[str]:
     """validate's full scan of P: a fresh copy carries no cached certificate."""
     return validate(Polytope(P.dim, P.facet_labels, P.vertices))
+
+
+def truncate_by_definition(P, S):
+    """(vertices, created) of cutting the face S off P, from raw subsets.
+
+    The vertices not containing S are kept; each vertex V containing S gives
+    way to V - {s} + {m} for each s in S, m being the new facet's index.
+    Vertices come sorted, created ones in P's vertex order, then by s.
+    """
+    face, m = set(S), P.num_facets
+    kept = [V for V in P.vertices if not face <= set(V)]
+    created = [tuple(sorted(set(V) - {s} | {m}))
+               for V in P.vertices if face <= set(V) for s in sorted(face)]
+    return tuple(sorted(kept + created)), tuple(created)
 
 
 def det_by_permutations(rows) -> int:

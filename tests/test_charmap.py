@@ -125,6 +125,10 @@ def test_is_nonsingular_at(reference_pair):
     for V in [(0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 15)]:
         with pytest.raises(ValueError):
             is_nonsingular_at(P, L, V)
+    # True would read as facet 1 of the vertex (0, 1, 2, 14); "a" would not sort
+    for V, bad in [((0, True, 2, 14), "True"), ((0, "a", 2, 14), "'a'")]:
+        with pytest.raises(ValueError, match=f"^face .*: facet {bad} is not an integer$"):
+            is_nonsingular_at(P, L, V)
 
 
 def test_bad_faces_reference_decoration(reference_pair):

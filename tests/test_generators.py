@@ -94,6 +94,9 @@ def test_dual_cyclic_rejects_bad_sizes():
         dual_cyclic(4, 4)
     with pytest.raises(ValueError):
         dual_cyclic(1, 5)
+    for n, m in [(True, 3), (4.0, 8), ("4", 8), (4, 8.0), (2, True)]:
+        with pytest.raises(ValueError, match="^sizes must be integers, got n="):
+            dual_cyclic(n, m)
 
 
 def test_segment():

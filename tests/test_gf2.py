@@ -13,6 +13,7 @@ def test_rank_standard_basis():
 
 def test_rank_dependent_triple():
     assert gf2.rank([E1, E2, E1 ^ E2], 4) == 2
+    assert gf2.rank(iter([E1, E2, E1 ^ E2]), 4) == 2  # not spent by the width check
 
 
 def test_rank_four_vectors_summing_to_zero():
@@ -36,6 +37,13 @@ def test_rank_rejects_overwide_vectors():
         gf2.rank([1], 0)
     with pytest.raises(ValueError):
         gf2.rank([1], 17)
+    # a bool or a float is no width or vector: True would read as 1, and 4.0 fail at >>
+    for n in [True, 4.0, "4"]:
+        with pytest.raises(ValueError, match="^vector width must be an integer in"):
+            gf2.rank([1], n)
+    for v in [True, 1.0, "1"]:
+        with pytest.raises(ValueError, match="^vector 0 = .* is not an integer$"):
+            gf2.rank([v], 4)
 
 
 def test_parity():
@@ -67,6 +75,8 @@ def test_circuits_rejects_overwide_vectors():
         gf2.circuits([1, 16, 2], 4)
     with pytest.raises(ValueError, match="width"):
         gf2.circuits([1], 17)
+    with pytest.raises(ValueError, match="^vector 1 = 2.0 is not an integer$"):
+        gf2.circuits([1, 2.0], 4)
 
 
 def test_circuits_multiple_and_sorted():
@@ -85,3 +95,6 @@ def test_vector_str():
     assert gf2.vector_str(5) == "e1+e3"
     assert gf2.vector_str(1) == "e1"
     assert gf2.vector_str(0) == "0"
+    for v in [-3, 1.0, True]:
+        with pytest.raises(ValueError, match="^vector must be a nonnegative integer, got "):
+            gf2.vector_str(v)
