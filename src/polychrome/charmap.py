@@ -16,8 +16,6 @@ from .polytope import InvariantError, Polytope, _facets, hosts
 
 MODES = ("general", "oriented")
 
-PRESET_NAMES = ("paper-example", "odd-bijection", "identity-first")
-
 # the reference decoration of the 15-facet neighborly 4-polytope, facet order
 # F0..F14: e1, e1+e2, e3, e4, e1+e4, e1+e2+e4, e2+e4, e2, e2+e3, e1+e2+e3,
 # e1+e3, e1+e3+e4, e3+e4, e2+e3+e4, e1+e2+e3+e4
@@ -61,6 +59,11 @@ class CharMap:
         out = object.__new__(CharMap)  # the old vectors passed __post_init__ already
         out.__dict__.update(n=self.n, vectors=self.vectors + (v,), mode=self.mode)
         return out
+
+
+# the fixed decorations by name; preset fits each to its own dim and facet count only
+FIXED_PRESETS = {"paper-example": CharMap(4, PAPER_EXAMPLE_VECTORS)}
+PRESET_NAMES = (*FIXED_PRESETS, "odd-bijection", "identity-first")
 
 
 @dataclass(frozen=True)
@@ -192,17 +195,17 @@ def odd_vectors(n: int) -> list[int]:
 def preset(name: str, P: Polytope) -> CharMap:
     """One of the named facet decorations, sized for the given polytope.
 
-    paper-example: the reference decoration of the dual of C^4(15).
+    paper-example (FIXED_PRESETS): the reference decoration of the dual of C^4(15).
     odd-bijection: facets in index order onto the odd-weight vectors of
     Z_2^n in increasing bitmask order (oriented; needs m = 2^(n-1) facets).
     identity-first: facet i -> e_{i+1} for i < n, then the smallest unused
     nonzero bitmask for each remaining facet (needs m <= 2^n - 1).
     """
     n, m = P.dim, P.num_facets
-    if name == "paper-example":
-        if (n, m) != (4, 15):
-            raise ValueError(f"paper-example needs a 4-polytope with 15 facets, got ({n}, {m})")
-        return CharMap(4, PAPER_EXAMPLE_VECTORS, "general")
+    if (L := FIXED_PRESETS.get(name)) is not None:
+        if (n, m) != (L.n, k := len(L.vectors)):
+            raise ValueError(f"{name} needs a {L.n}-polytope with {k} facets, got ({n}, {m})")
+        return L
     if name == "odd-bijection":
         odd = odd_vectors(n)
         if m != len(odd):

@@ -42,9 +42,15 @@ def rank(vectors: Sequence[int], n: int) -> int:
     return _rank(vecs)
 
 
+def _nonnegative(v) -> int:
+    if type(v) is not int or v < 0:  # a bool is no vector
+        raise ValueError(f"vector must be a nonnegative integer, got {v!r}")
+    return v
+
+
 def parity(v: int) -> int:
     """Weight parity of v: 1 for an odd number of set bits, 0 for even."""
-    return v.bit_count() & 1
+    return _nonnegative(v).bit_count() & 1
 
 
 def circuits(vectors: Sequence[int], n: int) -> list[tuple[int, ...]]:
@@ -87,8 +93,6 @@ def circuits(vectors: Sequence[int], n: int) -> list[tuple[int, ...]]:
 
 def vector_str(v: int) -> str:
     """Human-readable form of a bitmask, e.g. 5 -> 'e1+e3'."""
-    if type(v) is not int or v < 0:
-        raise ValueError(f"vector must be a nonnegative integer, got {v!r}")
-    if v == 0:
+    if _nonnegative(v) == 0:
         return "0"
     return "+".join(f"e{i + 1}" for i in range(v.bit_length()) if (v >> i) & 1)

@@ -22,7 +22,7 @@ class InvariantError(ValueError):
 @dataclass(frozen=True)
 class Polytope:
     """Canonical: each vertex sorted, then the vertex list, so JSON output diffs and
-    replays byte for byte. The constructor sorts; a certified cut is spliced in order.
+    replays byte for byte. The constructor sorts; a cut is spliced in order.
     == and hash read only the fields, not what P caches: its certified mark and last cut."""
     dim: int
     facet_labels: tuple[str, ...]
@@ -56,8 +56,8 @@ def validate(P: Polytope) -> list[str]:
     Checks are purely combinatorial. Realizability as a convex polytope is
     not decided here: inputs come from known constructions and from surgeries
     that preserve it. A clean scan marks P certified; a certified P returns []
-    at once, exact as P is frozen, and so does each cut truncate_face makes of it,
-    since a cut of a valid polytope is valid (see _cut).
+    at once, exact as P is frozen, and so does each cut truncate_face makes,
+    since it cuts only a valid polytope and a cut of one is valid (see _cut).
     """
     return [] if "_certified" in P.__dict__ else _scan(P)
 
@@ -215,21 +215,17 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]
     six vertices of a triangular-prism facet; truncating a vertex (|S| = 4)
     creates a tetrahedron facet. The new facet is the last one, index
     P.num_facets, and the created vertices are exactly the vertices on it.
-    The cut of a certified P is certified by the rule itself (see _cut): it is
-    spliced into P's sorted vertex list (_splice) and not checked. The cut of an
-    uncertified P is validated in full; if invalid, it raises InvariantError with
-    validate's diagnostics.
+    P must be valid (InvariantError with validate's diagnostics otherwise); the
+    cut is then certified by the rule itself (see _cut) and spliced into P's
+    sorted vertex list (_splice), with no check of its own.
     """
     face, on, created = _cut(P, S)
+    require_valid(P, f"truncating {list(face)} broke the polytope: ")
     labels = P.facet_labels + ("T(" + ",".join(P.facet_labels[i] for i in face) + ")",)
-    if "_certified" in P.__dict__:
-        result = object.__new__(Polytope)  # fields as given: no __post_init__ re-sort
-        result.__dict__.update(dim=P.dim, facet_labels=labels, _certified=True,
-                               vertices=_splice(P, on, created))
-    else:
-        kept = tuple(itertools.filterfalse(set(on).__contains__, P.vertices))
-        result = Polytope(P.dim, labels, kept + created)
-    return require_valid(result, f"truncating {list(face)} broke the polytope: "), created
+    result = object.__new__(Polytope)  # fields as given: no __post_init__ re-sort
+    result.__dict__.update(dim=P.dim, facet_labels=labels, _certified=True,
+                           vertices=_splice(P, on, created))
+    return result, created
 
 
 def _splice(P: Polytope, on, created):

@@ -70,10 +70,10 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
     never nest, so each cut removes just its target; it creates no bad face
     either, as resolution_vector keeps every created vertex nonsingular, which
     a scan of the created vertices re-checks. truncate_face reuses the cut that
-    resolution_vector made, so a step scans its hosts once; a cut of a certified P
-    is certified without a check (see validate), and an uncertified P is scanned in
-    full at the first cut. Budget exhaustion or a failed vector search returns its
-    partial report.
+    resolution_vector made, so a step scans its hosts once; it validates P, which
+    scans an uncertified start in full at the first cut and costs nothing after, as
+    each cut is certified by the rule (see _cut). Budget exhaustion or a failed
+    vector search returns its partial report.
     """
     if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
         raise ValueError(f"budget must be an integer at least 1, got {budget!r}")

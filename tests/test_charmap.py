@@ -80,12 +80,17 @@ def test_paper_example_preset_vectors(reference_pair):
 
 
 def test_preset_size_mismatch():
-    with pytest.raises(ValueError):
-        preset("paper-example", dual_cyclic(4, 8))
-    with pytest.raises(ValueError):
-        preset("odd-bijection", dual_cyclic(4, 15))
-    with pytest.raises(ValueError):
-        preset("unknown", dual_cyclic(4, 8))
+    for name, P, message in [
+        ("paper-example", dual_cyclic(4, 8),
+         "paper-example needs a 4-polytope with 15 facets, got (4, 8)"),
+        ("odd-bijection", dual_cyclic(4, 15), "odd-bijection needs m = 2^(n-1) = 8 facets, got 15"),
+        ("identity-first", dual_cyclic(4, 16), "identity-first needs m <= 2^n - 1 = 15, got 16"),
+        ("unknown", dual_cyclic(4, 8), "unknown preset 'unknown'; expected one of "
+                                       "('paper-example', 'odd-bijection', 'identity-first')"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            preset(name, P)
+        assert str(exc.value) == message
 
 
 def test_odd_bijection_preset():

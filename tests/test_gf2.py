@@ -53,6 +53,18 @@ def test_parity():
     assert gf2.parity(0) == 0
 
 
+@pytest.mark.parametrize("v, message", [
+    (-3, "vector must be a nonnegative integer, got -3"),  # would read as even
+    (True, "vector must be a nonnegative integer, got True"),  # would read as odd
+    (1.0, "vector must be a nonnegative integer, got 1.0"),  # has no bit_count
+    ("1", "vector must be a nonnegative integer, got '1'"),
+], ids=["negative", "bool", "float", "str"])
+def test_parity_refuses_what_is_not_a_nonnegative_integer(v, message):
+    with pytest.raises(ValueError) as exc:
+        gf2.parity(v)
+    assert str(exc.value) == message
+
+
 def test_circuits_unique_triple():
     assert gf2.circuits([E1, E2, E1 ^ E2, E3], 4) == [(0, 1, 2)]
 
