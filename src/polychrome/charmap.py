@@ -12,7 +12,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from . import gf2
-from .polytope import InvariantError, Polytope, _facets, hosts
+from .polytope import InvariantError, Polytope, _vertex
 
 MODES = ("general", "oriented")
 
@@ -34,7 +34,7 @@ class CharMap:
         object.__setattr__(self, "vectors", tuple(vectors))
         if self.mode not in MODES:
             raise InvariantError(f"mode: expected one of {MODES}, got {self.mode!r}")
-        if isinstance(self.n, bool) or not isinstance(self.n, int):
+        if type(self.n) is not int:  # a bool is no width
             raise InvariantError(f"n: expected an integer width, got {self.n!r}")
         if not 1 <= self.n <= gf2.MAX_WIDTH:
             raise InvariantError(f"n: width must be in [1, {gf2.MAX_WIDTH}], got {self.n}")
@@ -42,13 +42,13 @@ class CharMap:
             self._check_vector(i, v)
 
     def _check_vector(self, i: int, v) -> None:
-        if isinstance(v, bool) or not isinstance(v, int):
+        if type(v) is not int:  # a bool is no vector
             raise InvariantError(f"vectors[{i}]: expected an integer, got {v!r}")
         if v == 0:
             raise InvariantError(f"vectors[{i}]: zero vector is not allowed")
         if v < 0 or v >> self.n:
             raise InvariantError(f"vectors[{i}]: {v} does not fit in {self.n} bits")
-        if self.mode == "oriented" and not gf2.parity(v):
+        if self.mode == "oriented" and not v.bit_count() & 1:
             raise InvariantError(
                 f"vectors[{i}]: {v} has even weight; oriented maps need odd weights"
             )
@@ -91,12 +91,9 @@ def _check_aligned(P: Polytope, L: CharMap) -> None:
 
 
 def is_nonsingular_at(P: Polytope, L: CharMap, V) -> bool:
-    """True iff the n facet vectors at vertex V are GF(2)-independent."""
+    """True iff the n facet vectors at vertex V are GF(2)-independent; V must be P's."""
     _check_aligned(P, L)
-    key = tuple(sorted(_facets(V)))
-    if hosts(P, key) != [key]:
-        raise ValueError(f"{list(key)} is not a vertex of the polytope")
-    return gf2.rank([L.vectors[i] for i in key], L.n) == L.n
+    return gf2._rank([L.vectors[i] for i in _vertex(P, V)]) == L.n
 
 
 def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
@@ -106,11 +103,12 @@ def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
     and each circuit of its vectors spans a face. The same face is usually
     seen from several vertices, so results are deduplicated, keeping the
     lexicographically smallest witness vertex. Sorted by (circuit size, face).
-    Given some of P's vertices, scans only those, so witnesses come from them.
+    Given some of P's vertices, scans only those, so witnesses come from them;
+    refuses any that is not one of P's vertices.
     """
     _check_aligned(P, L)
     hits: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for V in P.vertices if vertices is None else vertices:
+    for V in P.vertices if vertices is None else [_vertex(P, V) for V in vertices]:
         vecs = [L.vectors[i] for i in V]
         if gf2._rank(vecs) == P.dim:
             continue
@@ -189,7 +187,7 @@ def lift_determinant_report(P: Polytope, L: CharMap) -> LiftReport:
 
 def odd_vectors(n: int) -> list[int]:
     """The odd-weight bitmasks of width n in increasing order."""
-    return [v for v in range(1, 1 << n) if gf2.parity(v)]
+    return [v for v in range(1, 1 << n) if v.bit_count() & 1]
 
 
 def preset(name: str, P: Polytope) -> CharMap:

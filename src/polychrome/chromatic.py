@@ -213,7 +213,7 @@ def _certify(
     hints: Iterable[Sequence[int]],
     time_budget: float,
 ) -> ChromaticCertificate:
-    if isinstance(time_budget, bool) or not time_budget >= 0:
+    if type(time_budget) not in (int, float) or not time_budget >= 0:  # NaN fails >= 0
         raise ValueError(f"time budget must be a number at least 0, got {time_budget!r}")
     n = len(adj)
     deadline = time.monotonic() + time_budget

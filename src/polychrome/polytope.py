@@ -29,6 +29,11 @@ class Polytope:
     vertices: tuple[tuple[int, ...], ...]
 
     def __post_init__(self) -> None:
+        for name in ("facet_labels", "vertices"):
+            if not isinstance(x := getattr(self, name), (list, tuple)):
+                raise InvariantError(f"{name}: expected a list or tuple, got {type(x).__name__}")
+        if bad := sorted(t.__name__ for t in set(map(type, self.vertices)) - {list, tuple}):
+            raise InvariantError(f"vertices: expected lists or tuples, got {', '.join(bad)}")
         object.__setattr__(self, "facet_labels", tuple(self.facet_labels))
         object.__setattr__(
             self,
@@ -66,12 +71,12 @@ def _scan(P: Polytope) -> list[str]:
     """validate's full pass over every vertex and ridge; certifies P if it finds nothing."""
     diags: list[str] = []
     n, m = P.dim, P.num_facets
-    if isinstance(n, bool) or not isinstance(n, int):
+    if type(n) is not int:  # a bool is no dimension
         return [f"dimension: dim must be an integer, got {n!r}"]
     if n < 1:
         return [f"dimension: dim must be at least 1, got {n}"]
     kinds = set(map(type, itertools.chain.from_iterable(P.vertices)))  # at C speed
-    if bad := sorted(t.__name__ for t in kinds if t is bool or not issubclass(t, int)):
+    if bad := sorted(t.__name__ for t in kinds - {int}):
         return [f"index-type: facet indices must be integers, got {', '.join(bad)}"]
     if m < n + 1:
         diags.append(f"facet-count: a simple {n}-polytope needs at least {n + 1} facets, got {m}")
@@ -127,11 +132,29 @@ def require_valid(P: Polytope, what: str) -> Polytope:
 
 
 def _facets(S) -> tuple:
-    """S as a tuple of facet indices; ValueError if one is a bool or not an int."""
-    S = tuple(S)
-    if bad := [s for s in S if isinstance(s, bool) or not isinstance(s, int)]:
+    """S as a tuple of facet indices; ValueError if S is not iterable or one is not an int."""
+    try:
+        S = tuple(S)
+    except TypeError:
+        raise ValueError(f"face {S!r}: expected a sequence of facet indices") from None
+    if bad := [s for s in S if type(s) is not int]:
         raise ValueError(f"face {list(S)!r}: facet {bad[0]!r} is not an integer")
     return S
+
+
+def _vertex(P: Polytope, V) -> tuple[int, ...]:
+    """V sorted, found among P's sorted vertices by bisect; ValueError if it is not one.
+    One of P's own vertex tuples (each vertex a cut creates is one) costs the bisect alone."""
+    vs = P.vertices
+    try:  # a V that is no tuple of ints does not compare with P's; one past them all has no slot
+        if vs[bisect.bisect_left(vs, V)] is V:
+            return V
+    except (TypeError, IndexError):
+        pass
+    key = tuple(sorted(_facets(V)))
+    if vs[(i := bisect.bisect_left(vs, key)):i + 1] != (key,):
+        raise ValueError(f"{list(key)} is not a vertex of the polytope")
+    return key
 
 
 def hosts(P: Polytope, S) -> list[tuple[int, ...]]:

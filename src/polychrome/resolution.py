@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass
 
 from . import gf2
-from .charmap import CharMap, _check_aligned, bad_faces, odd_vectors
+from .charmap import CharMap, _check_aligned, bad_faces
 from .polytope import InvariantError, Polytope, _cut, truncate_face
 
 TERMINATED = ("success", "budget_exhausted", "no_vector_found")
@@ -55,7 +55,7 @@ def resolution_vector(P: Polytope, L: CharMap, S) -> int:
     _check_aligned(P, L)
     face, _, created = _cut(P, S)
     retained = [[L.vectors[i] for i in C[:-1]] for C in created]
-    for w in odd_vectors(L.n) if L.mode == "oriented" else range(1, 1 << L.n):
+    for w in (w for w in range(1, 1 << L.n) if w.bit_count() & 1 or L.mode != "oriented"):
         if all(gf2._rank(vecs + [w]) == L.n for vecs in retained):
             return w
     raise NoVectorFound(face)
@@ -75,7 +75,7 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
     each cut is certified by the rule (see _cut). Budget exhaustion or a failed
     vector search returns its partial report.
     """
-    if isinstance(budget, bool) or not isinstance(budget, int) or budget < 1:
+    if type(budget) is not int or budget < 1:  # a bool is no budget
         raise ValueError(f"budget must be an integer at least 1, got {budget!r}")
     bad = bad_faces(P, L)
     initial = len(bad)

@@ -91,7 +91,7 @@ def _expect_keys(d, keys: tuple[str, ...], what: str) -> None:
 
 
 def _expect_int(x, what: str) -> int:
-    if isinstance(x, bool) or not isinstance(x, int):
+    if type(x) is not int:  # a bool is no integer here
         raise SchemaError(f"{what}: expected an integer, got {x!r}")
     return x
 

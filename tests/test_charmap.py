@@ -124,16 +124,29 @@ def test_is_nonsingular_at(reference_pair):
     P, L = reference_pair
     assert not is_nonsingular_at(P, L, (3, 4, 5, 6))
     assert is_nonsingular_at(P, L, (0, 1, 2, 14))
-    with pytest.raises(ValueError):
-        is_nonsingular_at(P, L, (0, 2, 4, 6))  # not a vertex
-    # a repeated facet, a face with more than one vertex, an index out of range
-    for V in [(0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 15)]:
-        with pytest.raises(ValueError):
+    # a non-face, a repeated facet, a face with more than one vertex, indexes out of range
+    for V in [(0, 2, 4, 6), (0, 0, 1, 2), (0, 1, 2), (0, 1, 2, 15), (0, 1, 2, 99)]:
+        with pytest.raises(ValueError) as exc:
             is_nonsingular_at(P, L, V)
+        assert str(exc.value) == f"{list(V)} is not a vertex of the polytope"
     # True would read as facet 1 of the vertex (0, 1, 2, 14); "a" would not sort
     for V, bad in [((0, True, 2, 14), "True"), ((0, "a", 2, 14), "'a'")]:
         with pytest.raises(ValueError, match=f"^face .*: facet {bad} is not an integer$"):
             is_nonsingular_at(P, L, V)
+    with pytest.raises(ValueError, match="^face 5: expected a sequence of facet indices$"):
+        is_nonsingular_at(P, L, 5)
+
+
+@pytest.mark.parametrize("V", [(0, 2, 4, 6), (0, 1, 2, 99)], ids=["non-vertex", "out-of-range"])
+def test_bad_faces_refuses_a_vertex_that_is_not_the_polytopes(V):
+    P = dual_cyclic(4, 8)
+    L = preset("odd-bijection", P)
+    with pytest.raises(ValueError) as exc:
+        bad_faces(P, L, [(0, 1, 2, 3), V])
+    assert str(exc.value) == f"{list(V)} is not a vertex of the polytope"
+    # a vertex is found in any facet order, and reported sorted
+    assert bad_faces(P, L, [(3, 2, 1, 0)]) == bad_faces(P, L, [(0, 1, 2, 3)])
+    assert bad_faces(P, L, [(3, 2, 1, 0)])[0].witness_vertex == (0, 1, 2, 3)
 
 
 def test_bad_faces_reference_decoration(reference_pair):

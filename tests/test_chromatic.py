@@ -121,7 +121,7 @@ def test_graph_api_known_small_cases():
             chromatic_of_graph(n, edges)
         assert str(exc.value) == message
     assert chromatic_of_graph(3, [(0, 1)], time_budget=float("inf")).chi == 2
-    for budget in (float("nan"), -1.0, True):
+    for budget in (float("nan"), -1.0, True, "1", None, [1]):
         with pytest.raises(ValueError) as exc:
             chromatic_of_graph(3, [(0, 1)], time_budget=budget)
         assert str(exc.value) == f"time budget must be a number at least 0, got {budget!r}"

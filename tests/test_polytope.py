@@ -88,6 +88,19 @@ def test_is_face_known_edge():
     assert hosts(P, P.vertices[0]) == [P.vertices[0]]
 
 
+@pytest.mark.parametrize("labels, vertices, message", [
+    (None, (), "facet_labels: expected a list or tuple, got NoneType"),
+    (("a", "b", "c"), 5, "vertices: expected a list or tuple, got int"),
+    (("a", "b", "c"), [1, 2], "vertices: expected lists or tuples, got int"),
+    (("a", "b", "c"), [(0, 1), None, "ab"],
+     "vertices: expected lists or tuples, got NoneType, str"),
+], ids=["labels-none", "vertices-int", "vertex-int", "vertex-none-and-str"])
+def test_the_constructor_names_a_field_that_is_not_a_list_or_tuple(labels, vertices, message):
+    with pytest.raises(InvariantError) as exc:
+        Polytope(2, labels, vertices)
+    assert str(exc.value) == message
+
+
 def test_is_face_rejects_bad_input():
     P = dual_cyclic(2, 5)
     with pytest.raises(ValueError, match="^face set must be nonempty$"):
@@ -100,6 +113,8 @@ def test_is_face_rejects_bad_input():
         hosts(P, (0, True))
     with pytest.raises(ValueError, match=r"^face \['a'\]: facet 'a' is not an integer$"):
         hosts(P, ("a",))
+    with pytest.raises(ValueError, match="^face None: expected a sequence of facet indices$"):
+        hosts(P, None)
 
 
 def test_hosts_match_the_subset_oracle():

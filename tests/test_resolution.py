@@ -89,7 +89,9 @@ def test_resolution_vector_rejects_nonface():
     ([[0], [1]], "face [[0], [1]]: facet [0] is not an integer"),
     ([0, 1.0, 3], "face [0, 1.0, 3]: facet 1.0 is not an integer"),
     ([0, True, 3], "face [0, True, 3]: facet True is not an integer"),
-], ids=["facet", "repeated-facet", "too-wide", "non-face", "str", "list", "float", "bool"])
+    (5, "face 5: expected a sequence of facet indices"),
+], ids=["facet", "repeated-facet", "too-wide", "non-face", "str", "list", "float", "bool",
+        "not-iterable"])
 def test_resolution_vector_refuses_what_truncate_face_refuses(S, message):
     P = dual_cyclic(4, 15)
     L = preset("paper-example", P)
