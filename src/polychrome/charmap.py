@@ -104,11 +104,15 @@ def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
     seen from several vertices, so results are deduplicated, keeping the
     lexicographically smallest witness vertex. Sorted by (circuit size, face).
     Given some of P's vertices, scans only those, so witnesses come from them;
-    refuses any that is not one of P's vertices.
+    refuses any that is not one of P's vertices, and a `vertices` that is not iterable.
     """
     _check_aligned(P, L)
+    try:
+        todo = P.vertices if vertices is None else iter(vertices)
+    except TypeError:
+        raise ValueError(f"vertices {vertices!r}: expected an iterable of vertices") from None
     hits: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for V in P.vertices if vertices is None else [_vertex(P, V) for V in vertices]:
+    for V in todo if vertices is None else [_vertex(P, V) for V in todo]:
         vecs = [L.vectors[i] for i in V]
         if gf2._rank(vecs) == P.dim:
             continue

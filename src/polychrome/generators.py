@@ -1,13 +1,17 @@
-"""Constructors for the standard starting polytopes."""
+"""Constructors for the standard starting polytopes, each valid by construction."""
 
 from __future__ import annotations
 
-from .polytope import Polytope, default_labels, require_valid
+from .polytope import Polytope, _built, default_labels, require_valid
 
 
 def segment() -> Polytope:
-    """The 1-dimensional polytope: two facets, each a vertex on its own."""
-    return require_valid(Polytope(1, default_labels(2), ((0,), (1,))), "segment is broken: ")
+    """The 1-dimensional polytope: two facets, each a vertex on its own.
+
+    Valid on sight: two distinct 1-vertices, each facet on one of them, and
+    the empty ridge on both.
+    """
+    return _built(1, default_labels(2), ((0,), (1,)))
 
 
 def _gale_even(m: int, start: int, left: int):
@@ -36,8 +40,10 @@ def dual_cyclic(n: int, m: int) -> Polytope:
 
     Facet i corresponds to the i-th point along the moment curve; the
     vertices are exactly the n-subsets of {0, ..., m-1} satisfying Gale's
-    evenness condition. They are generated directly, and the result is
-    validated in full.
+    evenness condition. They are generated directly, each in increasing
+    order, and the list is sorted once. Valid by Gale's evenness theorem:
+    these subsets are the facets of the simplicial polytope C^n(m), n >= 2
+    and m > n, so they are the vertices of its simple dual.
     """
     if type(n) is not int or type(m) is not int:  # a bool is no size
         raise ValueError(f"sizes must be integers, got n={n!r}, m={m!r}")
@@ -45,19 +51,25 @@ def dual_cyclic(n: int, m: int) -> Polytope:
         raise ValueError(f"dimension must be at least 2, got {n}")
     if m <= n:
         raise ValueError(f"need more facets than the dimension, got m={m} <= n={n}")
-    P = Polytope(n, default_labels(m), tuple(_gale_even(m, 0, n)))
-    return require_valid(P, f"dual_cyclic({n}, {m}) is broken: ")
+    return _built(n, default_labels(m), tuple(sorted(_gale_even(m, 0, n))))
 
 
 def product(P: Polytope, Q: Polytope) -> Polytope:
-    """Cartesian product: P's facets first, then Q's shifted by P's count."""
+    """Cartesian product: P's facets first, then Q's shifted by P's count.
+
+    The factors must be valid (InvariantError with validate's diagnostics
+    otherwise); the product then is, with n = nP + nQ. Its vertices VP u VQ'
+    (VQ' being VQ shifted) are n distinct facets in range, distinct for
+    distinct pairs. An (n-1)-subset of VP u VQ' drops one facet from one
+    factor, so it is a ridge of that factor times a vertex of the other and
+    lies on exactly 2 vertices. A facet of P lies on at least nP vertices of
+    P, each paired with the at least nQ + 1 vertices of Q, so on
+    nP(nQ + 1) >= n; likewise for Q. There are mP + mQ >= n + 2 facets.
+    Canonical as built: VP < VQ', and the nested loop runs over sorted
+    vertex lists of fixed lengths, so it yields the vertices in order.
+    """
     for name, X in (("left", P), ("right", Q)):
         require_valid(X, f"{name} factor is invalid: ")
     offset = P.num_facets
-    verts = tuple(
-        VP + tuple(q + offset for q in VQ)
-        for VP in P.vertices
-        for VQ in Q.vertices
-    )
-    result = Polytope(P.dim + Q.dim, P.facet_labels + Q.facet_labels, verts)
-    return require_valid(result, "product is broken: ")
+    return _built(P.dim + Q.dim, P.facet_labels + Q.facet_labels, tuple(
+        VP + tuple(q + offset for q in VQ) for VP in P.vertices for VQ in Q.vertices))

@@ -22,7 +22,8 @@ class InvariantError(ValueError):
 @dataclass(frozen=True)
 class Polytope:
     """Canonical: each vertex sorted, then the vertex list, so JSON output diffs and
-    replays byte for byte. The constructor sorts; a cut is spliced in order.
+    replays byte for byte. This constructor, for input from outside, sorts and leaves
+    checking to validate; the library's own builders hand _built canonical fields.
     == and hash read only the fields, not what P caches: its certified mark and last cut."""
     dim: int
     facet_labels: tuple[str, ...]
@@ -34,16 +35,24 @@ class Polytope:
                 raise InvariantError(f"{name}: expected a list or tuple, got {type(x).__name__}")
         if bad := sorted(t.__name__ for t in set(map(type, self.vertices)) - {list, tuple}):
             raise InvariantError(f"vertices: expected lists or tuples, got {', '.join(bad)}")
+        try:
+            vertices = tuple(sorted(tuple(sorted(v)) for v in self.vertices))
+        except TypeError:  # only a non-int index fails to compare
+            raise InvariantError(_index_type(self.vertices)) from None
         object.__setattr__(self, "facet_labels", tuple(self.facet_labels))
-        object.__setattr__(
-            self,
-            "vertices",
-            tuple(sorted(tuple(sorted(v)) for v in self.vertices)),
-        )
+        object.__setattr__(self, "vertices", vertices)
 
     @property
     def num_facets(self) -> int:
         return len(self.facet_labels)
+
+
+def _built(dim: int, labels: tuple[str, ...], vertices: tuple[tuple[int, ...], ...]) -> Polytope:
+    """A certified polytope with these fields as given: no re-sort, no scan. Only for a
+    builder whose output is canonical and whose docstring proves it valid."""
+    P = object.__new__(Polytope)
+    P.__dict__.update(dim=dim, facet_labels=labels, vertices=vertices, _certified=True)
+    return P
 
 
 def default_labels(m: int) -> tuple[str, ...]:
@@ -61,8 +70,9 @@ def validate(P: Polytope) -> list[str]:
     Checks are purely combinatorial. Realizability as a convex polytope is
     not decided here: inputs come from known constructions and from surgeries
     that preserve it. A clean scan marks P certified; a certified P returns []
-    at once, exact as P is frozen, and so does each cut truncate_face makes,
-    since it cuts only a valid polytope and a cut of one is valid (see _cut).
+    at once, exact as P is frozen. Every polytope the library builds (the
+    generators and truncate_face, through _built) starts certified, each by the
+    argument in its builder's docstring, so only input from outside is scanned.
     """
     return [] if "_certified" in P.__dict__ else _scan(P)
 
@@ -75,9 +85,8 @@ def _scan(P: Polytope) -> list[str]:
         return [f"dimension: dim must be an integer, got {n!r}"]
     if n < 1:
         return [f"dimension: dim must be at least 1, got {n}"]
-    kinds = set(map(type, itertools.chain.from_iterable(P.vertices)))  # at C speed
-    if bad := sorted(t.__name__ for t in kinds - {int}):
-        return [f"index-type: facet indices must be integers, got {', '.join(bad)}"]
+    if bad := _index_type(P.vertices):
+        return [bad]
     if m < n + 1:
         diags.append(f"facet-count: a simple {n}-polytope needs at least {n + 1} facets, got {m}")
     if bad := sorted({type(x).__name__ for x in P.facet_labels if not isinstance(x, str)}):
@@ -114,6 +123,14 @@ def _scan(P: Polytope) -> list[str]:
     if not diags:
         P.__dict__["_certified"] = True
     return diags
+
+
+def _index_type(vertices) -> str | None:
+    """validate's index-type diagnostic, or None if every facet index is an int."""
+    kinds = set(map(type, itertools.chain.from_iterable(vertices)))  # at C speed
+    if bad := sorted(t.__name__ for t in kinds - {int}):
+        return f"index-type: facet indices must be integers, got {', '.join(bad)}"
+    return None
 
 
 def _faces(vertices, k: int):
@@ -239,16 +256,13 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]
     creates a tetrahedron facet. The new facet is the last one, index
     P.num_facets, and the created vertices are exactly the vertices on it.
     P must be valid (InvariantError with validate's diagnostics otherwise); the
-    cut is then certified by the rule itself (see _cut) and spliced into P's
-    sorted vertex list (_splice), with no check of its own.
+    cut is then certified by the rule itself (see _cut), spliced into P's
+    sorted vertex list (_splice) and built as it stands (_built), unchecked.
     """
     face, on, created = _cut(P, S)
     require_valid(P, f"truncating {list(face)} broke the polytope: ")
     labels = P.facet_labels + ("T(" + ",".join(P.facet_labels[i] for i in face) + ")",)
-    result = object.__new__(Polytope)  # fields as given: no __post_init__ re-sort
-    result.__dict__.update(dim=P.dim, facet_labels=labels, _certified=True,
-                           vertices=_splice(P, on, created))
-    return result, created
+    return _built(P.dim, labels, _splice(P, on, created)), created
 
 
 def _splice(P: Polytope, on, created):

@@ -149,6 +149,17 @@ def test_bad_faces_refuses_a_vertex_that_is_not_the_polytopes(V):
     assert bad_faces(P, L, [(3, 2, 1, 0)])[0].witness_vertex == (0, 1, 2, 3)
 
 
+@pytest.mark.parametrize("vertices", [5, 1.5, True], ids=["int", "float", "bool"])
+def test_bad_faces_refuses_vertices_that_are_not_iterable(vertices):
+    P = dual_cyclic(4, 8)
+    L = preset("odd-bijection", P)
+    with pytest.raises(ValueError) as exc:
+        bad_faces(P, L, vertices)
+    assert str(exc.value) == f"vertices {vertices!r}: expected an iterable of vertices"
+    # any iterable of P's vertices serves, a generator as well as a list
+    assert bad_faces(P, L, iter(P.vertices)) == bad_faces(P, L, list(P.vertices)) == bad_faces(P, L)
+
+
 def test_bad_faces_reference_decoration(reference_pair):
     P, L = reference_pair
     bad = bad_faces(P, L)

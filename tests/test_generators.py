@@ -2,12 +2,14 @@ import itertools
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polychrome import polytope
 from polychrome.generators import dual_cyclic, product, segment
-from polychrome.polytope import f_vector, hosts, validate
+from polychrome.polytope import Polytope, f_vector, hosts, truncate_face, validate
 
-from .oracles import gale_pairwise
+from .oracles import gale_pairwise, validate_from_scratch
 
 
 def test_pentagon():
@@ -46,12 +48,14 @@ def test_gale_filter_matches_pairwise_oracle():
     for n in range(2, 9):
         for m in range(n + 1, 15):
             P = dual_cyclic(n, m)
-            expected = {
+            # combinations come in lexicographic order: the vertex order too, not only the set
+            expected = tuple(
                 S
                 for S in itertools.combinations(range(m), n)
                 if gale_pairwise(S, m)
-            }
-            assert set(P.vertices) == expected
+            )
+            assert P.vertices == expected
+            assert_built_as_the_constructor_builds(P)
 
 
 def cyclic_facet_count(n: int, m: int) -> int:
@@ -104,7 +108,7 @@ def test_segment():
     assert S.dim == 1
     assert S.vertices == ((0,), (1,))
     assert f_vector(S) == [2]
-    assert validate(S) == []
+    assert_built_as_the_constructor_builds(S)
 
 
 def test_square():
@@ -154,3 +158,35 @@ def test_constructors_certify_what_they_build(build, monkeypatch):
     monkeypatch.setattr(polytope, "_scan", lambda X: scans.append(X) or [])
     assert validate(P) == []
     assert scans == []
+
+
+def assert_built_as_the_constructor_builds(P):
+    """P is canonical, field for field what the public constructor makes of its fields,
+    is built certified, and passes a full scan from scratch."""
+    fresh = Polytope(P.dim, P.facet_labels, P.vertices)
+    assert vars(P) == {**vars(fresh), "_certified": True}
+    assert validate_from_scratch(P) == []
+
+
+FACTORS = (segment(),) + tuple(dual_cyclic(2, k) for k in range(3, 7)) + tuple(
+    dual_cyclic(n, m) for n, m in ((3, 4), (3, 5), (3, 6), (4, 6), (4, 7)))
+
+
+@st.composite
+def cut_of(draw, P, most: int):
+    """P after 0..most cuts of drawn faces of drawn codimension, each checked as built."""
+    for _ in range(draw(st.integers(0, most if P.dim > 1 else 0))):
+        k = draw(st.integers(2, P.dim))
+        P, _ = truncate_face(P, draw(st.sampled_from(sorted(set(polytope._faces(P.vertices, k))))))
+        assert_built_as_the_constructor_builds(P)
+    return P
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_products_and_their_cuts_are_built_canonical_and_valid(data):
+    left = data.draw(cut_of(data.draw(st.sampled_from(FACTORS)), 2), label="left")
+    right = data.draw(cut_of(data.draw(st.sampled_from(FACTORS)), 2), label="right")
+    P = product(left, right)
+    assert_built_as_the_constructor_builds(P)
+    data.draw(cut_of(P, 2), label="cuts of the product")

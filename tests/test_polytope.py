@@ -101,6 +101,19 @@ def test_the_constructor_names_a_field_that_is_not_a_list_or_tuple(labels, verti
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("vertices, kinds", [
+    ([(0, "a"), (1, 2)], "str"),
+    ([(0, 1), ("a", "b")], "str"),
+    ([(0, 1.5), ("a", None)], "NoneType, float, str"),
+], ids=["mixed-in-a-vertex", "mixed-across-vertices", "three-kinds"])
+def test_the_constructor_names_indices_that_do_not_sort(vertices, kinds):
+    """The sort fails only on a non-int index; the error is validate's own diagnostic."""
+    with pytest.raises(InvariantError) as exc:
+        Polytope(2, ("a", "b", "c"), vertices)
+    assert str(exc.value) == f"index-type: facet indices must be integers, got {kinds}"
+    assert exc.value.__cause__ is None and exc.value.__suppress_context__
+
+
 def test_is_face_rejects_bad_input():
     P = dual_cyclic(2, 5)
     with pytest.raises(ValueError, match="^face set must be nonempty$"):
@@ -395,15 +408,21 @@ def test_hosts_out_of_vertex_order_are_spliced_all_the_same(monkeypatch):
     assert result == expected and vars(result) == vars(expected)
 
 
-def test_no_cut_runs_the_public_constructor():
+def test_no_builder_runs_the_public_constructor_or_a_scan():
     P = dual_cyclic(4, 7)
     uncertified = Polytope(P.dim, P.facet_labels, P.vertices)
     assert validate(P) == [] and "_certified" not in uncertified.__dict__
     with mock.patch.object(Polytope, "__post_init__", autospec=True,
-                           side_effect=Polytope.__post_init__) as init:
+                           side_effect=Polytope.__post_init__) as init, \
+            mock.patch.object(polytope, "_scan", wraps=polytope._scan) as scan:
+        prism = product(dual_cyclic(2, 5), segment())
+        built = [segment(), dual_cyclic(2, 3), dual_cyclic(6, 13), prism,
+                 product(truncate_face(prism, (0, 1))[0], dual_cyclic(3, 6))]
         certified_cut, _ = truncate_face(P, (0, 1))
+        assert init.call_count == scan.call_count == 0
+        assert all(validate(X) == [] for X in built)  # each starts certified
         uncertified_cut, _ = truncate_face(uncertified, (0, 1))
-        assert init.call_count == 0
+        assert init.call_count == 0 and scan.call_count == 1  # the parent from outside
     # field by field, the certified mark included: both parents take the one splice path
     assert vars(certified_cut) == vars(uncertified_cut)
     assert uncertified_cut.__dict__["_certified"] is True
