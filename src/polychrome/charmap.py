@@ -12,7 +12,7 @@ from itertools import islice
 from typing import NamedTuple
 
 from . import gf2
-from .polytope import InvariantError, Polytope, _vertex
+from .polytope import InvariantError, Polytope, _record_hosts, _vertex
 
 MODES = ("general", "oriented")
 
@@ -100,28 +100,29 @@ def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
     """Every face whose vectors form a minimal dependent circuit.
 
     Works vertex by vertex: a singular vertex contains at least one circuit,
-    and each circuit of its vectors spans a face. The same face is usually
-    seen from several vertices, so results are deduplicated, keeping the
-    lexicographically smallest witness vertex. Sorted by (circuit size, face).
-    Given some of P's vertices, scans only those, so witnesses come from them;
-    refuses any that is not one of P's vertices, and a `vertices` that is not iterable.
+    and each circuit of its vectors spans a face. A vertex lies on bad face F
+    exactly when F is one of its circuits, as F's minimality depends on F's
+    vectors alone, so the scan meets F's hosts in vertex order: the first is
+    its witness, and a full scan records them all on P (_record_hosts). Sorted
+    by (circuit size, face). Given some of P's vertices, scans only those, so
+    witnesses come from them; refuses any that is not one of P's vertices, and
+    a `vertices` that is not iterable.
     """
     _check_aligned(P, L)
     try:
         todo = P.vertices if vertices is None else iter(vertices)
     except TypeError:
         raise ValueError(f"vertices {vertices!r}: expected an iterable of vertices") from None
-    hits: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for V in todo if vertices is None else [_vertex(P, V) for V in todo]:
+    found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for V in todo if vertices is None else sorted(_vertex(P, V) for V in todo):
         vecs = [L.vectors[i] for i in V]
         if gf2._rank(vecs) == P.dim:
             continue
         for circuit in gf2.circuits(vecs, L.n):
-            face = tuple(V[i] for i in circuit)
-            witness = hits.get(face)
-            if witness is None or V < witness:
-                hits[face] = V
-    out = [BadFace(face, len(face), witness) for face, witness in hits.items()]
+            found.setdefault(tuple(V[i] for i in circuit), []).append(V)
+    if vertices is None:
+        _record_hosts(P, found)
+    out = [BadFace(face, len(face), on[0]) for face, on in found.items()]
     out.sort(key=lambda b: (b.circuit_size, b.face))
     return out
 

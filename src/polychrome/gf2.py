@@ -53,23 +53,12 @@ def parity(v: int) -> int:
     return _nonnegative(v).bit_count() & 1
 
 
-def circuits(vectors: Sequence[int], n: int) -> list[tuple[int, ...]]:
-    """All inclusion-minimal index subsets whose vectors XOR to zero, sorted.
-
-    One elimination tracks, as an index bitmask, which inputs combine into
-    each pivot row; every input that reduces to zero closes a kernel basis
-    element. The zero-XOR subsets are the 2^d - 1 nonzero kernel elements,
-    d being the rank deficiency, and the circuits are their minimal
-    supports. Zero vectors are rejected; each would be a singleton circuit
-    and never occurs in a characteristic map.
-    """
-    vecs = list(vectors)
-    _check(vecs, n)
+def _eliminate(vectors: Iterable[int]) -> tuple[dict[int, tuple[int, int]], list[int]]:
+    """(pivots, kernel basis): pivot bit p -> (row with top bit p, the index bitmask of
+    the inputs it XORs), and per input that reduces to zero the inputs XORing to zero."""
     pivots: dict[int, tuple[int, int]] = {}
     basis: list[int] = []
-    for i, v in enumerate(vecs):
-        if v == 0:
-            raise ValueError(f"zero vector at index {i}")
+    for i, v in enumerate(vectors):
         combo = 1 << i
         while v:
             p = v.bit_length() - 1
@@ -81,6 +70,34 @@ def circuits(vectors: Sequence[int], n: int) -> list[tuple[int, ...]]:
             combo ^= row_combo
         else:
             basis.append(combo)
+    return pivots, basis
+
+
+def _express(w: int, pivots: dict[int, tuple[int, int]]) -> tuple[int, int]:
+    """(r, combo) with w = r ^ the XOR of the inputs in combo; r is 0 iff w is in their span."""
+    combo = 0
+    while w and (p := w.bit_length() - 1) in pivots:
+        row, row_combo = pivots[p]
+        w ^= row
+        combo ^= row_combo
+    return w, combo
+
+
+def circuits(vectors: Sequence[int], n: int) -> list[tuple[int, ...]]:
+    """All inclusion-minimal index subsets whose vectors XOR to zero, sorted.
+
+    One elimination finds a kernel basis. The zero-XOR subsets are the 2^d - 1
+    nonzero kernel elements, d being the rank deficiency, and the circuits are
+    their minimal supports. Zero vectors are rejected; each would be a
+    singleton circuit and never occurs in a characteristic map.
+    """
+    vecs = list(vectors)
+    _check(vecs, n)
+    if 0 in vecs:
+        raise ValueError(f"zero vector at index {vecs.index(0)}")
+    _, basis = _eliminate(vecs)
+    if len(basis) < 2:  # no nonzero kernel element but b: its support is the only circuit
+        return [tuple(i for i in range(len(vecs)) if b >> i & 1) for b in basis]
     kernel = [0]
     for b in basis:
         kernel += [k ^ b for k in kernel]

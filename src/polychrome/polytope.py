@@ -24,7 +24,8 @@ class Polytope:
     """Canonical: each vertex sorted, then the vertex list, so JSON output diffs and
     replays byte for byte. This constructor, for input from outside, sorts and leaves
     checking to validate; the library's own builders hand _built canonical fields.
-    == and hash read only the fields, not what P caches: its certified mark and last cut."""
+    == and hash read only the fields, not what P caches: its certified mark, its last
+    cut, and the hosts of the faces a full bad_faces scan found (_record_hosts)."""
     dim: int
     facet_labels: tuple[str, ...]
     vertices: tuple[tuple[int, ...], ...]
@@ -177,9 +178,12 @@ def _vertex(P: Polytope, V) -> tuple[int, ...]:
 def hosts(P: Polytope, S) -> list[tuple[int, ...]]:
     """The vertices lying on the face S, in vertex order; empty iff S is no face.
 
-    Scans P's vertex tuples one facet of S at a time.
+    The list P records (_record_hosts), if any; else a scan of P's vertex tuples
+    one facet of S at a time.
     """
     fs = frozenset(_facets(S))
+    if (on := P.__dict__.get("_hosts", {}).get(tuple(sorted(fs)))) is not None:
+        return list(on)
     if not fs:
         raise ValueError("face set must be nonempty")
     on = P.vertices
@@ -188,6 +192,11 @@ def hosts(P: Polytope, S) -> list[tuple[int, ...]]:
             raise ValueError(f"facet index {i} out of range [0, {P.num_facets})")
         on = [V for V in on if i in V]
     return on
+
+
+def _record_hosts(P: Polytope, found: dict[tuple[int, ...], list[tuple[int, ...]]]) -> None:
+    """Keep on P the exact hosts, in vertex order, of each face (a sorted facet tuple)."""
+    P.__dict__["_hosts"] = found
 
 
 def f_vector(P: Polytope) -> list[int]:
@@ -258,11 +267,19 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]
     P must be valid (InvariantError with validate's diagnostics otherwise); the
     cut is then certified by the rule itself (see _cut), spliced into P's
     sorted vertex list (_splice) and built as it stands (_built), unchecked.
+
+    A face P records hosts for (_record_hosts) keeps them, list and all, if the cut
+    removes none: a created V - s + F' lies on it only if the host V does. Any other,
+    S included, is dropped.
     """
     face, on, created = _cut(P, S)
     require_valid(P, f"truncating {list(face)} broke the polytope: ")
     labels = P.facet_labels + ("T(" + ",".join(P.facet_labels[i] for i in face) + ")",)
-    return _built(P.dim, labels, _splice(P, on, created)), created
+    Q = _built(P.dim, labels, _splice(P, on, created))
+    gone = set(on)
+    if kept := {F: H for F, H in P.__dict__.get("_hosts", {}).items() if gone.isdisjoint(H)}:
+        _record_hosts(Q, kept)
+    return Q, created
 
 
 def _splice(P: Polytope, on, created):

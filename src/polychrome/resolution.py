@@ -46,17 +46,31 @@ class ResolutionReport:
 def resolution_vector(P: Polytope, L: CharMap, S) -> int:
     """Smallest vector decorating the facet that truncating S would create.
 
-    The candidate must complete the old facets' vectors at each vertex the
-    cut creates (the same ones truncate_face creates) to full rank.
-    Candidates are tried in increasing bitmask order, restricted to odd-weight
-    vectors when the map is oriented. Raises bad_faces' ValueError if L does
-    not fit P, and truncate_face's if S is no face it can cut.
+    The candidate w must complete the old facets' vectors at each vertex the
+    cut creates (the same ones truncate_face creates) to full rank: V - s + w
+    for each host V and s in S, a basis iff V and w have one circuit, through
+    s. So each host is eliminated once: two circuits, or one missing a facet of
+    S, leave no w; else w must lie outside a singular V's span, or use every
+    facet of S when written in a nonsingular V's vectors. Candidates are tried
+    in increasing bitmask order, restricted to odd-weight vectors when the map
+    is oriented. Raises bad_faces' ValueError if L does not fit P, and
+    truncate_face's if S is no face it can cut.
     """
     _check_aligned(P, L)
-    face, _, created = _cut(P, S)
-    retained = [[L.vectors[i] for i in C[:-1]] for C in created]
+    face, on, _ = _cut(P, S)
+    tests = []  # per host: its pivots, the positions of S in it, and whether it is singular
+    for V in on:
+        pivots, kernel = gf2._eliminate([L.vectors[i] for i in V])
+        at = sum(1 << V.index(s) for s in face)
+        if len(kernel) > 1 or kernel and at & ~kernel[0]:
+            raise NoVectorFound(face)
+        tests.append((pivots, at, bool(kernel)))
     for w in (w for w in range(1, 1 << L.n) if w.bit_count() & 1 or L.mode != "oriented"):
-        if all(gf2._rank(vecs + [w]) == L.n for vecs in retained):
+        for pivots, at, singular in tests:
+            r, combo = gf2._express(w, pivots)
+            if not r and (singular or combo & at != at):
+                break
+        else:
             return w
     raise NoVectorFound(face)
 
@@ -69,10 +83,12 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
     bad faces. Cutting S removes a face only if it contains S, and circuits
     never nest, so each cut removes just its target; it creates no bad face
     either, as resolution_vector keeps every created vertex nonsingular, which
-    a scan of the created vertices re-checks. truncate_face reuses the cut that
-    resolution_vector made, so a step scans its hosts once; it validates P, which
-    scans an uncertified start in full at the first cut and costs nothing after, as
-    each cut is certified by the rule (see _cut). Budget exhaustion or a failed
+    a scan of the created vertices re-checks. No step searches for hosts: the
+    full scan records them and each cut carries them on, dropping only its own
+    face's, as a host on two bad faces would leave no vector. truncate_face
+    reuses the cut that resolution_vector made; it validates P, which scans an
+    uncertified start in full at the first cut and costs nothing after, as each
+    cut is certified by the rule (see _cut). Budget exhaustion or a failed
     vector search returns its partial report.
     """
     if type(budget) is not int or budget < 1:  # a bool is no budget

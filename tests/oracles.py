@@ -2,10 +2,12 @@
 
 Everything here recomputes results from first principles along a different
 code path than the library: span enumeration instead of elimination, raw
-subset filters instead of incidence walks, permutation expansion instead of
-fraction-free elimination, a full validation scan instead of a certificate
-inherited across truncations, the truncation rule on raw subsets instead of
-a spliced cut, saturation buckets instead of bit-sliced counters.
+subset filters instead of incidence walks or hosts recorded by a scan,
+permutation expansion instead of fraction-free elimination, a full validation
+scan instead of a certificate inherited across truncations, the truncation
+rule on raw subsets instead of a spliced cut, a rank per candidate and created
+vertex instead of one elimination per host, saturation buckets instead of
+bit-sliced counters.
 """
 
 from __future__ import annotations
@@ -13,8 +15,10 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
+from polychrome import gf2
 from polychrome.chromatic import _bits, _past
 from polychrome.polytope import Polytope, validate
+from polychrome.resolution import NoVectorFound
 
 
 def rank_by_span(vectors) -> int:
@@ -96,6 +100,12 @@ def bad_faces_bruteforce(P, L) -> dict[tuple[int, ...], tuple[int, ...]]:
     return out
 
 
+def hosts_by_scan(P, S) -> list[tuple[int, ...]]:
+    """The vertices on the face S, in vertex order, by a subset test of every vertex."""
+    face = set(S)
+    return [V for V in P.vertices if face <= set(V)]
+
+
 def validate_from_scratch(P) -> list[str]:
     """validate's full scan of P: a fresh copy carries no cached certificate."""
     return validate(Polytope(P.dim, P.facet_labels, P.vertices))
@@ -113,6 +123,18 @@ def truncate_by_definition(P, S):
     created = [tuple(sorted(set(V) - {s} | {m}))
                for V in P.vertices if face <= set(V) for s in sorted(face)]
     return tuple(sorted(kept + created)), tuple(created)
+
+
+# resolution.resolution_vector before it eliminated each host's vectors once: every
+# candidate is ranked with the retained vectors of every vertex the cut creates,
+# which come from the raw-subset cut. The faster search must return exactly this.
+def resolution_vector_by_rank(P, L, S) -> int:
+    """Smallest candidate completing every created vertex to full rank; NoVectorFound if none."""
+    retained = [[L.vectors[i] for i in C[:-1]] for C in truncate_by_definition(P, S)[1]]
+    for w in (w for w in range(1, 1 << L.n) if w.bit_count() & 1 or L.mode != "oriented"):
+        if all(gf2._rank(vecs + [w]) == L.n for vecs in retained):
+            return w
+    raise NoVectorFound(tuple(sorted(set(S))))
 
 
 def det_by_permutations(rows) -> int:

@@ -2,11 +2,11 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from polychrome import polytope
-from polychrome.charmap import CharMap, induced_coloring
+from polychrome.charmap import CharMap, bad_faces, induced_coloring
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.polytope import (
     InvariantError,
@@ -21,7 +21,7 @@ from polychrome.polytope import (
 )
 from polychrome.serialize import polytope_from_dict, polytope_to_dict
 
-from .oracles import faces_bruteforce, truncate_by_definition, validate_from_scratch
+from .oracles import faces_bruteforce, hosts_by_scan, truncate_by_definition, validate_from_scratch
 
 
 def test_vertices_canonicalized_on_construction():
@@ -151,6 +151,34 @@ def test_hosts_match_the_subset_oracle():
             expected = [V for V in P.vertices if set(S) <= set(V)]
             for query in (S, S[::-1], S + S[-1:]):
                 assert hosts(P, query) == expected, query
+
+
+def recorded(P) -> dict:
+    """The hosts P records, face -> vertex list: none unless a full scan or a cut left some."""
+    return P.__dict__.get("_hosts", {})
+
+
+@given(st.integers(3, 5), st.integers(1, 4), st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_scan_records_every_bad_faces_hosts_and_each_cut_carries_those_it_keeps(n, extra, data):
+    P = dual_cyclic(n, n + extra)
+    vectors = data.draw(st.lists(st.integers(1, (1 << n) - 1),
+                                 min_size=P.num_facets, max_size=P.num_facets))
+    bad = bad_faces(P, CharMap(n, tuple(vectors)))
+    assert recorded(P) == {b.face: hosts_by_scan(P, b.face) for b in bad}
+    assert all(b.witness_vertex == recorded(P)[b.face][0] for b in bad)
+    for _ in range(data.draw(st.integers(0, 6))):
+        k = data.draw(st.integers(2, P.dim))
+        faces = sorted(set(polytope._faces(P.vertices, k))) + sorted(recorded(P))
+        face = data.draw(st.sampled_from(faces))  # any face, or one of the bad ones
+        gone = set(hosts_by_scan(P, face))
+        before = recorded(P)
+        P, _ = truncate_face(P, face)
+        # carried exactly when none of its hosts was cut away, the list unchanged
+        assert recorded(P) == {F: H for F, H in before.items() if gone.isdisjoint(H)}
+        for F, H in recorded(P).items():
+            assert H == hosts_by_scan(P, F) == hosts(P, F)
+        event("a list dropped" if len(recorded(P)) < len(before) else "every list carried")
 
 
 def test_require_valid_returns_the_polytope_or_lists_every_diagnostic():

@@ -20,7 +20,12 @@ from polychrome.polytope import (
 )
 from polychrome.resolution import NoVectorFound, resolution_vector, resolve
 
-from .oracles import in_span_by_subsets, rank_by_span, validate_from_scratch
+from .oracles import (
+    in_span_by_subsets,
+    rank_by_span,
+    resolution_vector_by_rank,
+    validate_from_scratch,
+)
 
 
 def stub(dim, num_facets, vertices):
@@ -311,12 +316,42 @@ def test_resolve_rescans_only_the_created_vertices(monkeypatch):
 
 
 def test_resolve_scans_the_hosts_once_per_step():
-    # resolution_vector and truncate_face share the step's one cut
+    # resolution_vector and truncate_face share the step's one cut, so each step
+    # asks for its hosts once; the next test shows that none of those asks scans
     P = dual_cyclic(4, 8)
     with mock.patch.object(polytope, "hosts", wraps=polytope.hosts) as scan:
         report = resolve(P, preset("odd-bijection", P))
     assert report.terminated == "success" and len(report.steps) == 8
     assert scan.call_count == len(report.steps)
+
+
+def _recorded_hosts_only(P, S):
+    """hosts without its scan: a face whose hosts P does not record is a KeyError."""
+    return list(P.__dict__["_hosts"][tuple(sorted(set(S)))])
+
+
+def _paper_start(n, m, name):
+    P = dual_cyclic(n, m)
+    return P, preset(name, P)
+
+
+def _paper_times_pentagon():
+    P, L = _paper_start(4, 15, "paper-example")
+    return product(P, dual_cyclic(2, 5)), stack(L, CharMap(2, (1, 2, 1, 2, 3)))
+
+
+@pytest.mark.parametrize("start", [
+    lambda: _paper_start(4, 15, "paper-example"),
+    lambda: _paper_start(4, 8, "odd-bijection"),
+    lambda: _paper_start(5, 16, "odd-bijection"),
+    _paper_times_pentagon,
+], ids=["main", "main2", "main3", "main-x-pentagon"])
+def test_resolve_finds_every_host_in_its_first_scans_records(start, monkeypatch):
+    expected = resolve(*start())
+    assert expected.terminated == "success" and len(expected.steps) >= 8
+    # fresh objects: nothing kept on the first run's polytopes serves the second
+    monkeypatch.setattr(polytope, "hosts", _recorded_hosts_only)
+    assert resolve(*start()) == expected
 
 
 @cache
@@ -384,6 +419,37 @@ def test_resolution_vector_is_smallest_valid_candidate(case):
         with pytest.raises(NoVectorFound):
             resolution_vector(P, L, S)
     else:
+        assert resolution_vector(P, L, S) == expected
+
+
+@st.composite
+def cut_chains(draw):
+    """A decorated polytope after 0 to 3 random cuts and new vectors, with its hosts
+    recorded by a full scan or not, and one of its faces: a bad one or any."""
+    P, L = draw(decorated_polytopes())
+    pool = odd_vectors(P.dim) if L.mode == "oriented" else list(range(1, 1 << P.dim))
+    for _ in range(draw(st.integers(0, 3))):
+        k = draw(st.integers(2, P.dim))
+        P, _ = truncate_face(P, draw(st.sampled_from(sorted(set(polytope._faces(P.vertices, k))))))
+        L = L.extended(draw(st.sampled_from(pool)))
+    bad = [b.face for b in bad_faces(P, L)] if draw(st.booleans()) else []
+    k = draw(st.integers(2, P.dim))
+    return P, L, draw(st.sampled_from(sorted(set(polytope._faces(P.vertices, k))) + bad))
+
+
+@given(cut_chains())
+@settings(max_examples=300, deadline=None)
+def test_one_elimination_per_host_agrees_with_a_rank_per_candidate_and_created_vertex(case):
+    P, L, S = case
+    try:
+        expected = resolution_vector_by_rank(P, L, S)
+    except NoVectorFound as missing:
+        event("no vector")
+        with pytest.raises(NoVectorFound) as exc:
+            resolution_vector(P, L, S)
+        assert exc.value.face == missing.face
+    else:
+        event("a vector")
         assert resolution_vector(P, L, S) == expected
 
 
