@@ -134,11 +134,14 @@ def _cmd_fvector(args):
 
 
 def _cmd_resolve(args):
+    paths = [Path(p) for p in (*args.output, args.trace)[:3 if args.trace else 2]]
+    for i, path in enumerate(paths):  # one would overwrite another: refuse before any work
+        if path.resolve() in {p.resolve() for p in paths[:i]}:
+            raise ValueError(f"two outputs name the same file: {path}")
     report = resolve(args.polytope, args.map, budget=args.budget)
-    outputs = [(args.output[0], serialize.polytope_to_dict, report.final_polytope),
-               (args.output[1], serialize.charmap_to_dict, report.final_map),
-               (args.trace, serialize.report_to_dict, report)][:3 if args.trace else 2]
-    texts = [(Path(path), serialize.dumps(to_dict(x))) for path, to_dict, x in outputs]
+    to_dicts = (serialize.polytope_to_dict, serialize.charmap_to_dict, serialize.report_to_dict)
+    texts = [(path, serialize.dumps(to_dict(x))) for path, to_dict, x in
+             zip(paths, to_dicts, (report.final_polytope, report.final_map, report))]
     for i, (path, text) in enumerate(texts):
         try:
             path.write_text(text, encoding="utf-8")

@@ -24,8 +24,8 @@ class Polytope:
     """Canonical: each vertex sorted, then the vertex list, so JSON output diffs and
     replays byte for byte. This constructor, for input from outside, sorts and leaves
     checking to validate; the library's own builders hand _built canonical fields.
-    == and hash read only the fields, not what P caches: its certified mark, its last
-    cut, and the hosts of the faces a full bad_faces scan found (_record_hosts)."""
+    == and hash read only the fields, not what P caches: its certified mark and the
+    hosts of the faces a full bad_faces scan found (_record_hosts), nothing else."""
     dim: int
     facet_labels: tuple[str, ...]
     vertices: tuple[tuple[int, ...], ...]
@@ -225,10 +225,28 @@ def facet_adjacency(P: Polytope) -> list[int]:
 
 
 def _cut(P: Polytope, S):
-    """(face, hosts, created) of cutting S, kept on P; ValueError unless a face of codim 2..n.
+    """(S as a sorted tuple, its hosts) for a cut; ValueError unless a face of codim 2..n."""
+    face = tuple(sorted(set(_facets(S))))
+    if not 2 <= (k := len(face)) <= P.dim:
+        raise ValueError(f"can only truncate faces of codimension 2..{P.dim}, got {k} facets")
+    if not (on := hosts(P, face)):
+        raise ValueError(f"{list(face)} is not a face of the polytope")
+    return face, on
 
-    A cut of a certified P (every _scan check passed) passes _scan as well. Say S has
-    k facets and hosts H, and F' = m is the new facet:
+
+def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]]:
+    """Cut off the face S, returning (new polytope, the vertices the cut created).
+
+    Every vertex containing S disappears; for each such vertex V and each
+    facet s of S, the vertex (V - {s}) + {new facet} appears instead.
+    Truncating an edge of a 4-polytope (|S| = 3, two endpoints) creates the
+    six vertices of a triangular-prism facet; truncating a vertex (|S| = 4)
+    creates a tetrahedron facet. The new facet is the last one, index
+    P.num_facets, and the created vertices are exactly the vertices on it.
+    P must be valid (InvariantError with validate's diagnostics otherwise); the
+    cut is then spliced into P's sorted vertex list (_splice) and built as it
+    stands (_built), unchecked, as the rule itself proves it valid. Say S has k
+    facets and hosts H, and F' = m is the new facet:
     - each created V - s + F' is sorted and has n distinct facets, all in range;
     - no two coincide: hosts V != W with V - s = W - t would both lack s;
     - a ridge R without F' that contains S lay on hosts only and now on none; otherwise
@@ -239,41 +257,16 @@ def _cut(P: Polytope, S):
       facet of S; otherwise no created vertex lies on it;
     - coverage: per host, facets of S gain k - 2, its other facets k - 1 and F' gets k;
       the hosts form an (n - k)-regular graph, so F' lies on k|H| >= k(n - k + 1) >= n.
-    """
-    face = tuple(sorted(set(_facets(S))))
-    if (last := P.__dict__.get("_last_cut")) is not None and last[0] == face:
-        return last
-    if not 2 <= (k := len(face)) <= P.dim:
-        raise ValueError(f"can only truncate faces of codimension 2..{P.dim}, got {k} facets")
-    on = tuple(hosts(P, face))
-    if not on:
-        raise ValueError(f"{list(face)} is not a face of the polytope")
-    # each host V gives way to V - {s} + {F'}; F' = P.num_facets, above all, keeps it sorted
-    new = P.num_facets
-    created = tuple(V[:j] + V[j + 1:] + (new,) for V in on for j in map(V.index, face))
-    P.__dict__["_last_cut"] = cut = face, on, created
-    return cut
-
-
-def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]]:
-    """Cut off the face S, returning (new polytope, the vertices the cut created).
-
-    Every vertex containing S disappears; for each such vertex V and each
-    facet s of S, the vertex (V - {s}) + {new facet} appears instead (_cut).
-    Truncating an edge of a 4-polytope (|S| = 3, two endpoints) creates the
-    six vertices of a triangular-prism facet; truncating a vertex (|S| = 4)
-    creates a tetrahedron facet. The new facet is the last one, index
-    P.num_facets, and the created vertices are exactly the vertices on it.
-    P must be valid (InvariantError with validate's diagnostics otherwise); the
-    cut is then certified by the rule itself (see _cut), spliced into P's
-    sorted vertex list (_splice) and built as it stands (_built), unchecked.
 
     A face P records hosts for (_record_hosts) keeps them, list and all, if the cut
     removes none: a created V - s + F' lies on it only if the host V does. Any other,
     S included, is dropped.
     """
-    face, on, created = _cut(P, S)
+    face, on = _cut(P, S)
     require_valid(P, f"truncating {list(face)} broke the polytope: ")
+    # each host V gives way to V - {s} + {F'}; F' = P.num_facets, above all, keeps it sorted
+    new = P.num_facets
+    created = tuple(V[:j] + V[j + 1:] + (new,) for V in on for j in map(V.index, face))
     labels = P.facet_labels + ("T(" + ",".join(P.facet_labels[i] for i in face) + ")",)
     Q = _built(P.dim, labels, _splice(P, on, created))
     gone = set(on)

@@ -57,7 +57,7 @@ def resolution_vector(P: Polytope, L: CharMap, S) -> int:
     truncate_face's if S is no face it can cut.
     """
     _check_aligned(P, L)
-    face, on, _ = _cut(P, S)
+    face, on = _cut(P, S)
     tests = []  # per host: its pivots, the positions of S in it, and whether it is singular
     for V in on:
         pivots, kernel = gf2._eliminate([L.vectors[i] for i in V])
@@ -86,10 +86,10 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
     a scan of the created vertices re-checks. No step searches for hosts: the
     full scan records them and each cut carries them on, dropping only its own
     face's, as a host on two bad faces would leave no vector. truncate_face
-    reuses the cut that resolution_vector made; it validates P, which scans an
-    uncertified start in full at the first cut and costs nothing after, as each
-    cut is certified by the rule (see _cut). Budget exhaustion or a failed
-    vector search returns its partial report.
+    validates P, which scans an uncertified start in full at the first cut and
+    costs nothing after, as each cut is certified by the rule (see
+    truncate_face). Budget exhaustion or a failed vector search returns its
+    partial report.
     """
     if type(budget) is not int or budget < 1:  # a bool is no budget
         raise ValueError(f"budget must be an integer at least 1, got {budget!r}")

@@ -104,6 +104,20 @@ def test_a_resolve_that_cannot_write_one_output_leaves_none(simplex_flow, capsys
     assert sorted(p.name for p in tmp.iterdir()) == ["map.json", "poly.json"]
 
 
+@pytest.mark.parametrize("outputs, named", [
+    (["-o", "out.json", "out.json"], "out.json"),
+    (["--trace", "a.json", "-o", "a.json", "b.json"], "a.json"),
+    (["-o", "out.json", "m.json", "--trace", "sub/../m.json"], "sub/../m.json"),
+], ids=["polytope-and-map", "polytope-and-trace", "map-and-trace"])
+def test_a_resolve_whose_outputs_share_a_file_writes_none(simplex_flow, capsys, outputs, named):
+    tmp, poly, cmap = simplex_flow
+    capsys.readouterr()
+    args = [str(tmp / a) if a.endswith(".json") else a for a in outputs]
+    assert main(["resolve", str(poly), str(cmap), *args]) == 1
+    assert capsys.readouterr() == ("", f"error: two outputs name the same file: {tmp / named}\n")
+    assert sorted(p.name for p in tmp.iterdir()) == ["map.json", "poly.json"]
+
+
 def test_fvector_output(simplex_flow, capsys):
     _, poly, _ = simplex_flow
     assert main(["fvector", str(poly)]) == 0

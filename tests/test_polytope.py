@@ -418,7 +418,7 @@ def test_a_certified_cut_is_spliced_in_order_and_passes_a_full_scan(P, before, d
         P, _ = truncate_face(P, face)
     k = data.draw(st.integers(2, P.dim))
     face = data.draw(st.sampled_from(sorted(set(polytope._faces(P.vertices, k)))))
-    _, on, created = polytope._cut(P, face)
+    on, (_, created) = hosts(P, face), truncate_by_definition(P, face)
     gone = set(on)
     kept = tuple(V for V in P.vertices if V not in gone)
     assert polytope._splice(P, on, created) == tuple(sorted(kept + created))

@@ -315,16 +315,6 @@ def test_resolve_rescans_only_the_created_vertices(monkeypatch):
         assert all(V[-1] == step.new_facet_index for V in created)
 
 
-def test_resolve_scans_the_hosts_once_per_step():
-    # resolution_vector and truncate_face share the step's one cut, so each step
-    # asks for its hosts once; the next test shows that none of those asks scans
-    P = dual_cyclic(4, 8)
-    with mock.patch.object(polytope, "hosts", wraps=polytope.hosts) as scan:
-        report = resolve(P, preset("odd-bijection", P))
-    assert report.terminated == "success" and len(report.steps) == 8
-    assert scan.call_count == len(report.steps)
-
-
 def _recorded_hosts_only(P, S):
     """hosts without its scan: a face whose hosts P does not record is a KeyError."""
     return list(P.__dict__["_hosts"][tuple(sorted(set(S)))])
@@ -352,6 +342,29 @@ def test_resolve_finds_every_host_in_its_first_scans_records(start, monkeypatch)
     # fresh objects: nothing kept on the first run's polytopes serves the second
     monkeypatch.setattr(polytope, "hosts", _recorded_hosts_only)
     assert resolve(*start()) == expected
+
+
+@pytest.mark.parametrize("start", [
+    lambda: _paper_start(4, 8, "odd-bijection"),
+    lambda: _paper_start(4, 15, "paper-example"),
+], ids=["dc(4,8)+odd-bijection", "main"])
+def test_a_polytope_caches_its_certified_mark_and_its_hosts_and_nothing_else(start, monkeypatch):
+    P, L = start()
+    seen = [P]
+
+    def spy(P, S):
+        Q, created = truncate_face(P, S)
+        seen.extend((P, Q))
+        return Q, created
+
+    monkeypatch.setattr(resolution, "truncate_face", spy)
+    face = bad_faces(P, L)[0].face
+    assert polytope.hosts(P, face) and resolution_vector(P, L, face)
+    seen.append(truncate_face(P, face)[0])
+    report = resolve(P, L)
+    assert report.terminated == "success" and seen[-1] is report.final_polytope
+    for X in seen:
+        assert set(vars(X)) - {"dim", "facet_labels", "vertices", "_certified", "_hosts"} == set()
 
 
 @cache
