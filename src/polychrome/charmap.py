@@ -7,7 +7,10 @@ The oriented flavor additionally requires every vector to have odd weight.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
+from functools import cache
 from itertools import islice
 from typing import NamedTuple
 
@@ -99,32 +102,92 @@ def is_nonsingular_at(P: Polytope, L: CharMap, V) -> bool:
 def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
     """Every face whose vectors form a minimal dependent circuit.
 
-    Works vertex by vertex: a singular vertex contains at least one circuit,
-    and each circuit of its vectors spans a face. A vertex lies on bad face F
-    exactly when F is one of its circuits, as F's minimality depends on F's
-    vectors alone, so the scan meets F's hosts in vertex order: the first is
-    its witness, and a full scan records them all on P (_record_hosts). Sorted
-    by (circuit size, face). Given some of P's vertices, scans only those, so
-    witnesses come from them; refuses any that is not one of P's vertices, and
-    a `vertices` that is not iterable.
+    A face F is bad at vertex V iff F is a zero subset of V (its vectors XOR
+    to zero) whose own vectors form one circuit: F is a circuit of V's
+    vectors iff no proper subset of F XORs to zero, which depends on F's
+    vectors alone. So the scan meets F's hosts in vertex order: the first is
+    its witness, and a full scan records them all on P (_record_hosts). Where
+    _lanes_win, _zero_subsets finds every vertex's zero subsets at once and
+    each distinct F is tested once, by gf2.circuits on F's vectors; elsewhere
+    the scan goes vertex by vertex, ranking each and listing a singular one's
+    circuits. Sorted by (circuit size, face). Given some of P's vertices,
+    scans only those, so witnesses come from them; refuses any that is not
+    one of P's vertices, and a `vertices` that is not iterable.
     """
     _check_aligned(P, L)
     try:
         todo = P.vertices if vertices is None else iter(vertices)
     except TypeError:
         raise ValueError(f"vertices {vertices!r}: expected an iterable of vertices") from None
+    if vertices is not None:
+        todo = sorted(_vertex(P, V) for V in todo)
     found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
-    for V in todo if vertices is None else sorted(_vertex(P, V) for V in todo):
-        vecs = [L.vectors[i] for i in V]
-        if gf2._rank(vecs) == P.dim:
-            continue
-        for circuit in gf2.circuits(vecs, L.n):
-            found.setdefault(tuple(V[i] for i in circuit), []).append(V)
+    if _lanes_win(L.n, len(todo)):
+        columns = [map(L.vectors.__getitem__, c) for c in zip(*todo)]
+        is_circuit: dict[tuple[int, ...], bool] = {}  # each distinct zero face, tested once
+        for k, F in sorted((k, tuple(todo[k][i] for i in subset))
+                           for k, subset in _zero_subsets(columns)):
+            if F not in is_circuit:
+                vecs = [L.vectors[i] for i in F]
+                is_circuit[F] = gf2.circuits(vecs, L.n) == [tuple(range(len(F)))]
+            if is_circuit[F]:
+                found.setdefault(F, []).append(todo[k])
+    else:
+        for V in todo:
+            vecs = [L.vectors[i] for i in V]
+            if gf2._rank(vecs) == P.dim:
+                continue
+            for circuit in gf2.circuits(vecs, L.n):
+                found.setdefault(tuple(V[i] for i in circuit), []).append(V)
     if vertices is None:
         _record_hosts(P, found)
     out = [BadFace(face, len(face), on[0]) for face, on in found.items()]
     out.sort(key=lambda b: (b.circuit_size, b.face))
     return out
+
+
+def _lanes_win(n: int, count: int) -> bool:
+    """Whether bad_faces scans `count` vertices of width n on lanes: only where the
+    lane scan beat the per-vertex loop on singular and non-singular maps alike,
+    timed for n = 2..16 (CHANGES.md). Its 2^n - 1 steps each pass over every
+    lane, so from n = 9 the loop wins on non-singular maps, by more as n grows."""
+    return 4 <= n <= 8 and count >= 2 << n
+
+
+@cache
+def _gray(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Per step of a Gray code over the nonempty subsets of range(n): the
+    position it flips and the positions of the subset it reaches, in order."""
+    return tuple(((s & -s).bit_length() - 1, tuple(i for i in range(n) if (s ^ s >> 1) >> i & 1))
+                 for s in range(1, 1 << n))
+
+
+def _zero_subsets(columns) -> list[tuple[int, tuple[int, ...]]]:
+    """(row, positions) for each nonempty set of positions whose entries XOR to
+    zero in that row; columns[j] holds position j's 16-bit entry of each row.
+    Column j becomes one int, a 16-bit lane per row, and the Gray code walk XORs
+    in one column per step. high & ~(((x & low) + low) | x) marks the zero lanes
+    exactly: per lane, (x & 0x7FFF) + 0x7FFF <= 0xFFFE carries nothing out of
+    the lane, and has its top bit set iff x's low 15 bits are not all zero;
+    OR-ing x adds x's own top bit, so that bit ends clear iff the lane is zero.
+    Within a subset, rows come in order.
+    """
+    arrays = [array("H", c) for c in columns]
+    rows = len(arrays[0])
+    packed = [int.from_bytes(a.tobytes(), sys.byteorder) for a in arrays]
+    high = int.from_bytes(b"\x00\x80" * rows, "little")  # 0x8000 in every lane
+    low = int.from_bytes(b"\xff\x7f" * rows, "little")  # 0x7FFF in every lane
+    hits = []
+    x = 0
+    for j, subset in _gray(len(packed)):
+        x ^= packed[j]
+        if zero := high & ~(((x & low) + low) | x):
+            lane_bytes = zero.to_bytes(2 * rows, "little")  # a zero lane's byte 2k + 1 is 0x80
+            i = lane_bytes.find(0x80)
+            while i >= 0:
+                hits.append((i >> 1, subset))
+                i = lane_bytes.find(0x80, i + 2)
+    return hits
 
 
 def induced_coloring(P: Polytope, L: CharMap) -> Coloring:

@@ -1,9 +1,12 @@
+import random
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from polychrome import gf2
 from polychrome.charmap import (
+    MODES,
     PAPER_EXAMPLE_VECTORS,
     BadFace,
     CharMap,
@@ -11,9 +14,12 @@ from polychrome.charmap import (
     induced_coloring,
     is_nonsingular_at,
     lift_determinant_report,
+    odd_vectors,
     preset,
     segment_map,
     stack,
+    _lanes_win,
+    _zero_subsets,
 )
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.polytope import InvariantError, Polytope, default_labels
@@ -174,11 +180,76 @@ def test_bad_faces_reference_decoration(reference_pair):
         assert set(b.face) <= set(b.witness_vertex)
 
 
-def test_bad_faces_matches_bruteforce(reference_pair):
-    P, L = reference_pair
-    expected = bad_faces_bruteforce(P, L)
+@st.composite
+def decorated(draw):
+    """dc(n, m) for n = 2..6 and m <= 14, or a polytope of dimension n - 1 times a
+    segment, with a random general or oriented map (repeats allowed). For n = 4..6,
+    both reach 2^(n+1) vertices, where bad_faces scans on lanes."""
+    n = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        P = dual_cyclic(n, draw(st.sampled_from(range(n + 1, 15))))
+    else:
+        left = segment() if n == 2 else dual_cyclic(n - 1, draw(st.sampled_from(range(n, 15))))
+        P = product(left, segment())
+    mode = draw(st.sampled_from(MODES))
+    pool = odd_vectors(n) if mode == "oriented" else range(1, 1 << n)
+    vectors = draw(st.lists(st.sampled_from(pool), min_size=P.num_facets,
+                            max_size=P.num_facets))
+    return P, CharMap(n, tuple(vectors), mode)
+
+
+@given(decorated())
+@example((dual_cyclic(4, 15), CharMap(4, PAPER_EXAMPLE_VECTORS)))
+@settings(max_examples=150, deadline=None)
+def test_bad_faces_matches_bruteforce(case):
+    """Both scans, lane-parallel and per vertex."""
+    P, L = case
+    event("lanes" if _lanes_win(P.dim, len(P.vertices)) else "per vertex")
     got = {b.face: b.witness_vertex for b in bad_faces(P, L)}
-    assert got == expected
+    assert got == bad_faces_bruteforce(P, L)
+
+
+def zero_subsets_by_row(row: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Every nonempty position set whose entries XOR to zero, from the XOR of every subset."""
+    xor = [0] * (1 << len(row))
+    for mask in range(1, len(xor)):
+        low = mask & -mask
+        xor[mask] = xor[mask ^ low] ^ row[low.bit_length() - 1]
+    return [tuple(i for i in range(len(row)) if mask >> i & 1)
+            for mask in range(1, len(xor)) if xor[mask] == 0]
+
+
+def edge_rows(n: int) -> list[tuple[int, ...]]:
+    """Rows of n 16-bit entries: the unit vectors with the lane's edge values 0x8000,
+    0x7FFF and 0xFFFF (and 0) put in, so each row has few zero subsets. At n = 16,
+    0x7FFF after e1..e15 makes all 16 positions one zero subset."""
+    units = [1 << i for i in range(n)]
+    rows = [(*units[:-1], v) for v in (0x8000, 0x7FFF, 0xFFFF, 0)]
+    if n >= 2:
+        rows += [(0xFFFF, 0xFFFF, *units[2:]), (0x8000, *units[1:-1], 0x8000)]
+    if n >= 3:
+        rows.append((0x8000, 0x7FFF, 0xFFFF, *units[3:]))
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 15, 16])
+@pytest.mark.parametrize("count", [1, 2, 1000])
+def test_the_lane_scan_finds_each_rows_zero_subsets_at_the_width_edges(n, count):
+    """_zero_subsets hits each (row, zero subset of that row) once. bad_faces takes the
+    lanes only for n = 4..8, so only this test covers them at n = 1, 2, 15 and 16, and
+    bit 15 of a lane."""
+    pool = edge_rows(n)
+    by_row = {row: zero_subsets_by_row(row) for row in pool}
+    if count < 1000:  # each row alone, or with the next one
+        lists = [[row, pool[(i + 1) % len(pool)]][:count] for i, row in enumerate(pool)]
+    else:
+        rng = random.Random(n)
+        lists = [[rng.choice(pool) for _ in range(count)]]
+    for rows in lists:
+        expected = sorted((k, S) for k, row in enumerate(rows) for S in by_row[row])
+        assert sorted(_zero_subsets(list(zip(*rows)))) == expected
+    if count == 1000:
+        assert expected
 
 
 SCANNED = (dual_cyclic(4, 7), dual_cyclic(5, 9), product(dual_cyclic(2, 4), dual_cyclic(2, 5)))

@@ -6,7 +6,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from polychrome import polytope
-from polychrome.charmap import CharMap, bad_faces, induced_coloring
+from polychrome.charmap import CharMap, _lanes_win, bad_faces, induced_coloring
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.polytope import (
     InvariantError,
@@ -158,10 +158,11 @@ def recorded(P) -> dict:
     return P.__dict__.get("_hosts", {})
 
 
-@given(st.integers(3, 5), st.integers(1, 4), st.data())
+@given(st.integers(2, 6), st.integers(1, 9), st.data())
 @settings(max_examples=200, deadline=None)
 def test_a_scan_records_every_bad_faces_hosts_and_each_cut_carries_those_it_keeps(n, extra, data):
     P = dual_cyclic(n, n + extra)
+    event("lanes" if _lanes_win(n, len(P.vertices)) else "per vertex")
     vectors = data.draw(st.lists(st.integers(1, (1 << n) - 1),
                                  min_size=P.num_facets, max_size=P.num_facets))
     bad = bad_faces(P, CharMap(n, tuple(vectors)))
