@@ -4,8 +4,9 @@ The polytopes built here carry huge cliques (every pair of original facets
 meets), so the clique bound usually certifies the greedy or hinted coloring
 immediately; DSATUR branch and bound is the fallback that closes any gap.
 Adjacency and search state are int bitmasks, which Python ints make unbounded;
-DSATUR keeps each node's saturation as a bit-sliced counter across a few such
-masks and prunes every branch against the best colouring found so far.
+DSATUR keeps saturations as bit-sliced counters across a few such masks and
+neighbour colours as byte-aligned fields of one int, stacks a frame only where
+a node has two colours to try, and prunes against the best colouring so far.
 Both searches run from an explicit stack, so graph size sets no recursion
 limit, and both read the certificate's deadline every 256 nodes; a search cut
 short leaves a bounds_only certificate with the bounds it reached.
@@ -33,16 +34,11 @@ class ChromaticCertificate:
     upper: int
 
 
-def _bits(mask: int):
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+_CLOCK = 255  # a search reads the clock where nodes & _CLOCK == 1: at node 1, 257, 513, ...
 
 
-def _past(deadline: float | None, nodes: int) -> bool:
-    """Read the clock at the first node and then every 256 nodes."""
-    return deadline is not None and nodes & 255 == 1 and time.monotonic() > deadline
+def _past(deadline: float | None) -> bool:
+    return deadline is not None and time.monotonic() > deadline
 
 
 def max_clique(adj: list[int], deadline: float | None = None) -> list[int]:
@@ -75,7 +71,7 @@ def max_clique(adj: list[int], deadline: float | None = None) -> list[int]:
     late, nodes = False, 0
     while frames:
         nodes += 1
-        late = late or _past(deadline, nodes)
+        late = late or nodes & _CLOCK == 1 and _past(deadline)
         frame = frames[-1]
         cand, order = frame
         if not order or len(clique) + order[-1][1] <= len(best) or (late and best):
@@ -97,8 +93,10 @@ def max_clique(adj: list[int], deadline: float | None = None) -> list[int]:
 
 def greedy_coloring(adj: list[int]) -> list[int]:
     """DSATUR greedy: the first leaf of the DSATUR search, with nothing to beat."""
-    # n colours always suffice, so a lower bound of n stops at the first leaf
-    return _dsatur(adj, (), len(adj) + 1, len(adj), None)[0]
+    # a node takes the least colour its at most degree neighbours leave free, so
+    # max degree + 1 colours stop the search at the first leaf and keep fields narrow
+    degree = max([a.bit_count() for a in adj], default=0)
+    return _dsatur(adj, (), degree + 2, degree + 1, None)[0]
 
 
 def _dsatur(
@@ -116,74 +114,94 @@ def _dsatur(
     colour-permutation blowup. Saturations are bit-sliced counters: bit u of
     sat[j] is bit j of node u's saturation, so a child adds its newly saturated
     neighbours with one ripple carry, and the node to branch on is found by
-    narrowing the uncoloured nodes from the top slice down. Every frame reads
-    the incumbent live: it tries a colour only while the child would still use
-    fewer than best_k colours. A skipped subtree holds no better colouring, so
-    the incumbents come in the order an unpruned search finds them. Returns
-    (best colouring or None, finished in time).
+    narrowing the uncoloured nodes from the top slice down. Node u's neighbour
+    colours are the w-bit field u of seen, so its options, the free colours that
+    keep the child under the incumbent, take one shift and mask. Only a node
+    with two options leaves a frame, which on backtrack drops what the
+    incumbent has since ruled out; as options only shrink, the nodes come in the
+    order of a colour-by-colour scan with a frame per node. A skipped subtree
+    holds no better colouring, so the incumbents come in the order an unpruned
+    search finds them. Returns (best colouring or None, finished in time).
     """
     n = len(adj)
     # relabelled by (degree descending, index ascending), a tie in saturation
-    # goes to the lowest bit
+    # goes to the lowest bit; column v of the rows stacked highest rank first
+    # is v's row relabelled
     order = sorted(range(n), key=lambda v: (-adj[v].bit_count(), v))
     rank = {v: r for r, v in enumerate(order)}
-    radj = [sum(1 << rank[u] for u in _bits(adj[v])) for v in order]
+    rows = "".join([format(adj[v], f"0{n}b") for v in reversed(order)])
+    size = -(-best_k // 8)  # bytes per field: colours stay below best_k
+    ones = rows.encode().translate(bytes.maketrans(b"01", b"\0\1"))
+    field, radj, spread = bytearray(n * size), [], []  # spread[v]: bit 0 of v's neighbours' fields
+    for v in order:
+        radj.append(int(rows[n - 1 - v :: n], 2))
+        field[size - 1 :: size] = ones[n - 1 - v :: n]
+        spread.append(int.from_bytes(field, "big"))
+    w = 8 * size
     colors = [-1] * n  # by rank
-    uncol, near = (1 << n) - 1, []  # near[c]: the nodes next to a node coloured c
+    uncol, near, seen = (1 << n) - 1, [], 0  # near[c]: the nodes next to a node coloured c
     for c, v in enumerate(clique):
         colors[rank[v]] = c
         uncol ^= 1 << rank[v]
         near.append(radj[rank[v]])
-    sat = [0] * (n + 1).bit_length()  # a saturation is at most n
+        seen |= spread[rank[v]] << c
+    sat = [0] * (best_k - 1).bit_length()  # a saturation stays below best_k
     for gain in near:
         gain &= uncol
         for j, s in enumerate(sat):
             sat[j], gain = s ^ gain, s & gain
     best, used, nodes = None, len(clique), 0
-    stack: list[list] = []  # frames: used, sat, near, uncol, node, next colour
+    # the colours that keep a child under the incumbent, none if the clique reaches it
+    limit = (1 << best_k - 1) - 1 if used < best_k else 0
+    stack: list[tuple] = []  # branch points: used, sat, near, uncol, seen, node, options left
     while True:
         nodes += 1
-        if nodes & 255 == 1 and _past(deadline, nodes):
+        if nodes & _CLOCK == 1 and _past(deadline):
             return best, False
         if not uncol:  # a node is made only while it uses fewer than best_k colours
             best_k, best = used, [colors[rank[v]] for v in range(n)]
             if best_k <= lower:
                 return best, True
+            limit = (1 << best_k - 1) - 1
+            options = 0
         else:
             top = uncol
             for s in reversed(sat):
                 top = top & s or top
-            stack.append([used, sat, near, uncol, (top & -top).bit_length() - 1, 0])
-        while stack:  # paint the next child, backtracking as needed
-            frame = stack[-1]
-            used, sat, near, uncol, v, c = frame
-            while c < used and (near[c] >> v) & 1:
-                c += 1
-            if c > used or c >= best_k - 1 or used >= best_k:
-                stack.pop()
-                continue
-            frame[5] = c + 1
-            if c < used:
-                near = near[:]
-            else:
-                near, used = near + [0], used + 1
-            gain = radj[v] & uncol & ~near[c]
-            near[c] |= radj[v]
-            colors[v] = c
-            uncol ^= 1 << v
-            sat, j = sat[:], 0
-            while gain:  # ripple carry: each newly saturated neighbour rises by one
-                sat[j], gain = sat[j] ^ gain, sat[j] & gain
-                j += 1
-            break
+            v = (top & -top).bit_length() - 1
+            # colours 0 to used under the incumbent, less those of v's neighbours
+            options = limit & (2 << used) - 1
+            options ^= seen >> v * w & options
+        while not options:  # back to the last branch point with a colour still worth trying
+            if not stack:
+                return best, True
+            used, sat, near, uncol, seen, v, options = stack.pop()
+            options &= limit if used < best_k else 0
+        c = options & -options
+        if options != c:
+            stack.append((used, sat, near, uncol, seen, v, options ^ c))
+        c = c.bit_length() - 1
+        if c < used:
+            near = near[:]
         else:
-            return best, True
+            near, used = near + [0], used + 1
+        gain = radj[v] & uncol & ~near[c]
+        near[c] |= radj[v]
+        seen |= spread[v] << c
+        colors[v] = c
+        uncol ^= 1 << v
+        sat, j = sat[:], 0
+        while gain:  # ripple carry: each newly saturated neighbour rises by one
+            sat[j], gain = sat[j] ^ gain, sat[j] & gain
+            j += 1
 
 
 def _is_proper(adj: list[int], colors: Sequence[int]) -> bool:
-    return all(
-        colors[v] != colors[u] for v in range(len(adj)) for u in _bits(adj[v]) if u > v
-    )
+    classes: dict = {}  # colour (a hint's are vectors): the nodes of that colour
+    for v, c in enumerate(colors):
+        classes[c] = classes.get(c, 0) | 1 << v
+    # one colour per node, none dropped or left over, and no edge inside a class
+    return len(colors) == len(adj) and not any(adj[v] & classes[c] for v, c in enumerate(colors))
 
 
 def _canonical(colors: Sequence[int]) -> list[int]:
@@ -221,7 +239,7 @@ def _certify(
     lower = len(clique)
     candidates = [greedy_coloring(adj)]
     for h in hints:
-        if len(h) == n and _is_proper(adj, h):
+        if _is_proper(adj, h):
             candidates.append(_canonical(h))
     best = min(candidates, key=lambda c: len(set(c)))
     upper = len(set(best))

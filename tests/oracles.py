@@ -15,8 +15,7 @@ from __future__ import annotations
 import itertools
 from typing import Sequence
 
-from polychrome import gf2
-from polychrome.chromatic import _bits, _past
+from polychrome import chromatic, gf2
 from polychrome.polytope import Polytope, validate
 from polychrome.resolution import NoVectorFound
 
@@ -191,6 +190,18 @@ def chromatic_bruteforce(n: int, edges) -> int:
 
 def is_proper(n: int, edges, colors) -> bool:
     return all(colors[u] != colors[v] for u, v in edges)
+
+
+def _bits(mask: int):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _past(deadline: float | None, nodes: int) -> bool:
+    """chromatic's clock rule for a search that asks on every node."""
+    return nodes & chromatic._CLOCK == 1 and chromatic._past(deadline)
 
 
 # chromatic._dsatur as it was before bit-sliced saturation counters and a live

@@ -13,6 +13,7 @@ from polychrome.chromatic import (
     _verify,
     chromatic_number,
     chromatic_of_graph,
+    greedy_coloring,
     max_clique,
 )
 from polychrome.generators import dual_cyclic, product, segment
@@ -235,6 +236,48 @@ def test_graph_certificates_match_the_bucket_search(monkeypatch):
     for (n, p, edges), cert in zip(graphs, certs):
         assert cert == chromatic_of_graph(n, edges), f"G(40, {p})"
         assert cert.status == "exact"
+
+
+@given(st.integers(0, 30), st.sampled_from((0.2, 0.5, 0.8, 1.0)), st.integers(0, 2**32))
+@settings(max_examples=200, deadline=None)
+def test_greedy_is_the_first_leaf_of_a_search_bounded_by_n(n, p, seed):
+    # greedy bounds its search, and so its colour fields, by the maximum degree
+    adj = _masks(n, _gnp(n, p, seed))
+    assert greedy_coloring(adj) == dsatur_by_buckets(adj, (), n + 1, n, None)[0]
+
+
+@pytest.mark.parametrize("n, widths", [(20, {2}), (30, {2, 3}), (36, {3})])
+def test_dsatur_on_colour_fields_of_two_and_three_bytes(n, widths):
+    # greedy needs 11 to 20 colours on these G(n, 0.9), where dsatur_calls
+    # rarely pass 8: the fields of neighbour colours take 2 or 3 bytes a node
+    seen = set()
+    for seed in range(6):
+        adj = _masks(n, _gnp(n, 0.9, seed))
+        best_k = len(set(greedy_coloring(adj)))
+        seen.add(-(-best_k // 8))
+        clique = max_clique(adj)
+        calls = [(adj, (), best_k, 0)]
+        if len(clique) < best_k:
+            calls.append((adj, clique, best_k, len(clique)))
+        for call in calls:
+            assert _dsatur(*call, None) == dsatur_by_buckets(*call, None)
+    assert seen == widths
+
+
+@given(small_graphs(), st.data())
+@settings(max_examples=300)
+def test_is_proper_is_the_check_edge_by_edge(graph, data):
+    n, edges = graph
+    adj = _masks(n, edges)
+    # hint colours are map vectors, so a colour may be any int, however large
+    palette = st.sampled_from((0, 1, 2, 2**64, 2**64 + 1, 2**200))
+    colors = data.draw(st.lists(palette, min_size=n, max_size=n))
+    assert chromatic._is_proper(adj, colors) == is_proper(n, edges, colors)
+    assert chromatic._is_proper(adj, [2**100 + c for c in greedy_coloring(adj)])
+    # one colour per node: none short, none over
+    if n:
+        assert not chromatic._is_proper(adj, colors[:-1])
+    assert not chromatic._is_proper(adj, colors + [0])
 
 
 def _mycielski(k: int) -> tuple[int, list[tuple[int, int]]]:
