@@ -7,8 +7,6 @@ The oriented flavor additionally requires every vector to have odd weight.
 
 from __future__ import annotations
 
-import sys
-from array import array
 from dataclasses import dataclass
 from functools import cache
 from itertools import islice
@@ -107,12 +105,14 @@ def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
     vectors iff no proper subset of F XORs to zero, which depends on F's
     vectors alone. So the scan meets F's hosts in vertex order: the first is
     its witness, and a full scan records them all on P (_record_hosts). Where
-    _lanes_win, _zero_subsets finds every vertex's zero subsets at once and
-    each distinct F is tested once, by gf2.circuits on F's vectors; elsewhere
-    the scan goes vertex by vertex, ranking each and listing a singular one's
-    circuits. Sorted by (circuit size, face). Given some of P's vertices,
-    scans only those, so witnesses come from them; refuses any that is not
-    one of P's vertices, and a `vertices` that is not iterable.
+    _lanes_win, _zero_subsets finds every vertex's zero subsets at once, and a
+    zero subset is a circuit iff no other zero subset of its row lies inside
+    it: every zero proper subset of F is a zero subset of that row as well, and
+    the walk visits them all. Elsewhere the scan goes vertex by vertex, ranking
+    each and listing a singular one's circuits. Sorted by (circuit size,
+    face). Given some of P's vertices, scans only those, so witnesses come
+    from them; refuses any that is not one of P's vertices, and a `vertices`
+    that is not iterable.
     """
     _check_aligned(P, L)
     try:
@@ -123,15 +123,13 @@ def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
         todo = sorted(_vertex(P, V) for V in todo)
     found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     if _lanes_win(L.n, len(todo)):
-        columns = [map(L.vectors.__getitem__, c) for c in zip(*todo)]
-        is_circuit: dict[tuple[int, ...], bool] = {}  # each distinct zero face, tested once
-        for k, F in sorted((k, tuple(todo[k][i] for i in subset))
-                           for k, subset in _zero_subsets(columns)):
-            if F not in is_circuit:
-                vecs = [L.vectors[i] for i in F]
-                is_circuit[F] = gf2.circuits(vecs, L.n) == [tuple(range(len(F)))]
-            if is_circuit[F]:
-                found.setdefault(F, []).append(todo[k])
+        zero = _zero_subsets(map(L.vectors.__getitem__, c) for c in zip(*todo))
+        # a zero subset is a circuit iff no other zero subset of its row lies inside it;
+        # most rows have one zero subset, and it needs no test
+        for k, F in sorted([(k, tuple(map(todo[k].__getitem__, _MEMBERS[s])))
+                            for k, masks in zero.items() for s in masks
+                            if len(masks) == 1 or not any(t & s == t != s for t in masks)]):
+            found.setdefault(F, []).append(todo[k])
     else:
         for V in todo:
             vecs = [L.vectors[i] for i in V]
@@ -155,38 +153,41 @@ def _lanes_win(n: int, count: int) -> bool:
 
 
 @cache
-def _gray(n: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+def _gray(n: int) -> tuple[tuple[int, int], ...]:
     """Per step of a Gray code over the nonempty subsets of range(n): the
-    position it flips and the positions of the subset it reaches, in order."""
-    return tuple(((s & -s).bit_length() - 1, tuple(i for i in range(n) if (s ^ s >> 1) >> i & 1))
-                 for s in range(1, 1 << n))
+    position it flips and the bitmask of the subset it reaches."""
+    return tuple(((s & -s).bit_length() - 1, s ^ s >> 1) for s in range(1, 1 << n))
 
 
-def _zero_subsets(columns) -> list[tuple[int, tuple[int, ...]]]:
-    """(row, positions) for each nonempty set of positions whose entries XOR to
-    zero in that row; columns[j] holds position j's 16-bit entry of each row.
-    Column j becomes one int, a 16-bit lane per row, and the Gray code walk XORs
-    in one column per step. high & ~(((x & low) + low) | x) marks the zero lanes
-    exactly: per lane, (x & 0x7FFF) + 0x7FFF <= 0xFFFE carries nothing out of
-    the lane, and has its top bit set iff x's low 15 bits are not all zero;
-    OR-ing x adds x's own top bit, so that bit ends clear iff the lane is zero.
-    Within a subset, rows come in order.
+# the positions in each subset of range(8), by bitmask; lanes run only for n <= 8
+_MEMBERS = tuple(tuple(i for i in range(8) if s >> i & 1) for s in range(256))
+
+
+def _zero_subsets(columns) -> dict[int, list[int]]:
+    """Row -> the bitmask of each nonempty set of positions whose entries XOR to
+    zero in that row, for each row that has one; columns[j] holds position j's
+    8-bit entry of each row. Column j becomes one int, a byte lane per row, and
+    the Gray code walk XORs in one column per step. high & ~(((x & low) + low) | x)
+    marks the zero lanes exactly: per lane, (x & 0x7F) + 0x7F <= 0xFE carries
+    nothing out of the lane, and has its top bit set iff x's low 7 bits are not
+    all zero; OR-ing x adds x's own top bit, so that bit ends clear iff the lane
+    is zero.
     """
-    arrays = [array("H", c) for c in columns]
-    rows = len(arrays[0])
-    packed = [int.from_bytes(a.tobytes(), sys.byteorder) for a in arrays]
-    high = int.from_bytes(b"\x00\x80" * rows, "little")  # 0x8000 in every lane
-    low = int.from_bytes(b"\xff\x7f" * rows, "little")  # 0x7FFF in every lane
-    hits = []
+    lanes = [bytes(c) for c in columns]  # bytes refuses an entry above 0xFF
+    rows = len(lanes[0])
+    packed = [int.from_bytes(c, "little") for c in lanes]
+    high = int.from_bytes(b"\x80" * rows, "little")  # 0x80 in every lane
+    low = int.from_bytes(b"\x7f" * rows, "little")  # 0x7F in every lane
+    hits: dict[int, list[int]] = {}
     x = 0
     for j, subset in _gray(len(packed)):
         x ^= packed[j]
         if zero := high & ~(((x & low) + low) | x):
-            lane_bytes = zero.to_bytes(2 * rows, "little")  # a zero lane's byte 2k + 1 is 0x80
-            i = lane_bytes.find(0x80)
+            marks = zero.to_bytes(rows, "little")  # a zero lane's byte is 0x80, the rest 0
+            i = marks.find(0x80)
             while i >= 0:
-                hits.append((i >> 1, subset))
-                i = lane_bytes.find(0x80, i + 2)
+                hits.setdefault(i, []).append(subset)
+                i = marks.find(0x80, i + 1)
     return hits
 
 

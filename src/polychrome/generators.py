@@ -14,14 +14,19 @@ def segment() -> Polytope:
     return _built(1, default_labels(2), ((0,), (1,)))
 
 
-def _gale_even(m: int, start: int, left: int):
+def _gale_even(m: int, start: int, left: int, memo: dict) -> list[tuple[int, ...]]:
     """The left-subsets of {start, ..., m-1} that complete a Gale-even subset.
 
     Built run by run: every maximal run of consecutive members touching
     neither 0 nor m-1 has even length. start - 1 is not a member. A run is
     placed only where the remaining members still fit, so every branch
-    yields a subset.
+    yields a subset. The completions depend on (start, left) alone, for one
+    m, so memo keeps each list by that key: one dual_cyclic call builds each
+    suffix of runs once, not once per prefix, and drops the memo on return.
     """
+    if (start, left) in memo:
+        return memo[start, left]
+    out = []
     for x in range(start, m - left + 1):
         for length in range(1, left + 1):
             end = x + length
@@ -29,10 +34,11 @@ def _gale_even(m: int, start: int, left: int):
                 continue
             run = tuple(range(x, end))
             if length == left:
-                yield run
+                out.append(run)
             elif x < m - left:
-                for rest in _gale_even(m, end + 1, left - length):
-                    yield run + rest
+                out += [run + rest for rest in _gale_even(m, end + 1, left - length, memo)]
+    memo[start, left] = out
+    return out
 
 
 def dual_cyclic(n: int, m: int) -> Polytope:
@@ -51,7 +57,7 @@ def dual_cyclic(n: int, m: int) -> Polytope:
         raise ValueError(f"dimension must be at least 2, got {n}")
     if m <= n:
         raise ValueError(f"need more facets than the dimension, got m={m} <= n={n}")
-    return _built(n, default_labels(m), tuple(sorted(_gale_even(m, 0, n))))
+    return _built(n, default_labels(m), tuple(sorted(_gale_even(m, 0, n, {}))))
 
 
 def product(P: Polytope, Q: Polytope) -> Polytope:

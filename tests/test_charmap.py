@@ -220,24 +220,24 @@ def zero_subsets_by_row(row: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 
 def edge_rows(n: int) -> list[tuple[int, ...]]:
-    """Rows of n 16-bit entries: the unit vectors with the lane's edge values 0x8000,
-    0x7FFF and 0xFFFF (and 0) put in, so each row has few zero subsets. At n = 16,
-    0x7FFF after e1..e15 makes all 16 positions one zero subset."""
+    """Rows of n 8-bit entries: the unit vectors with the byte lane's edge values 0x80,
+    0x7F and 0xFF (and 0) put in, so each row has few zero subsets. At n = 8, 0x7F
+    after e1..e7 makes all 8 positions one zero subset."""
     units = [1 << i for i in range(n)]
-    rows = [(*units[:-1], v) for v in (0x8000, 0x7FFF, 0xFFFF, 0)]
+    rows = [(*units[:-1], v) for v in (0x80, 0x7F, 0xFF, 0)]
     if n >= 2:
-        rows += [(0xFFFF, 0xFFFF, *units[2:]), (0x8000, *units[1:-1], 0x8000)]
+        rows += [(0xFF, 0xFF, *units[2:]), (0x80, *units[1:-1], 0x80)]
     if n >= 3:
-        rows.append((0x8000, 0x7FFF, 0xFFFF, *units[3:]))
+        rows.append((0x80, 0x7F, 0xFF, *units[3:]))
     return rows
 
 
-@pytest.mark.parametrize("n", [1, 2, 15, 16])
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
 @pytest.mark.parametrize("count", [1, 2, 1000])
 def test_the_lane_scan_finds_each_rows_zero_subsets_at_the_width_edges(n, count):
     """_zero_subsets hits each (row, zero subset of that row) once. bad_faces takes the
-    lanes only for n = 4..8, so only this test covers them at n = 1, 2, 15 and 16, and
-    bit 15 of a lane."""
+    lanes only for n = 4..8, so only this test covers them at n = 1 and 2, and bit 7
+    of a lane below n = 8; at n = 7 and 8, e7 = 0x40 is the top bit the low mask keeps."""
     pool = edge_rows(n)
     by_row = {row: zero_subsets_by_row(row) for row in pool}
     if count < 1000:  # each row alone, or with the next one
@@ -247,9 +247,49 @@ def test_the_lane_scan_finds_each_rows_zero_subsets_at_the_width_edges(n, count)
         lists = [[rng.choice(pool) for _ in range(count)]]
     for rows in lists:
         expected = sorted((k, S) for k, row in enumerate(rows) for S in by_row[row])
-        assert sorted(_zero_subsets(list(zip(*rows)))) == expected
+        got = sorted((k, tuple(i for i in range(n) if s >> i & 1))
+                     for k, masks in _zero_subsets(list(zip(*rows))).items() for s in masks)
+        assert got == expected
     if count == 1000:
         assert expected
+
+
+# dual cyclic polytopes with enough vertices for the lanes, one per n = 4..7
+LANE_SIZES = {4: 10, 5: 12, 6: 13, 7: 15}
+
+
+@st.composite
+def nested_zero_subsets(draw):
+    """A lane-sized dc(n, m), freshly built, with vectors drawn from at most four, so
+    that its rows reach deficiency 2 or more and zero subsets lie inside others."""
+    n = draw(st.sampled_from(sorted(LANE_SIZES)))
+    P = dual_cyclic(n, LANE_SIZES[n])
+    few = draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=4, unique=True))
+    vectors = draw(st.lists(st.sampled_from(few), min_size=P.num_facets,
+                            max_size=P.num_facets))
+    return P, CharMap(n, tuple(vectors))
+
+
+@given(nested_zero_subsets())
+@example((dual_cyclic(7, 15), CharMap(7, (1, 2, 3, 4) * 3 + (1, 2, 3))))
+@settings(max_examples=30, deadline=None)
+def test_the_lane_scan_keeps_only_the_minimal_zero_subsets_of_each_row(case):
+    """A full lane scan against the brute force and against the per-vertex loop (one
+    vertex per call, below _lanes_win): the same faces and witnesses, and the hosts it
+    records on P are the loop's, in vertex order."""
+    P, L = case
+    assert _lanes_win(P.dim, len(P.vertices))
+    hosts: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+    for V in P.vertices:
+        for b in bad_faces(P, L, [V]):
+            hosts.setdefault(b.face, []).append(V)
+    ranks = [gf2.rank([L.vectors[i] for i in V], P.dim) for V in P.vertices]
+    event(f"deficiency {P.dim - min(ranks)}")
+    full = bad_faces(P, L)
+    assert {b.face: b.witness_vertex for b in full} == bad_faces_bruteforce(P, L)
+    assert full == sorted((BadFace(F, len(F), on[0]) for F, on in hosts.items()),
+                          key=lambda b: (b.circuit_size, b.face))
+    assert P.__dict__["_hosts"] == hosts
 
 
 SCANNED = (dual_cyclic(4, 7), dual_cyclic(5, 9), product(dual_cyclic(2, 4), dual_cyclic(2, 5)))

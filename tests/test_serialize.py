@@ -204,6 +204,33 @@ def test_dumps_writes_the_bytes_of_the_indented_json_encoder(data):
     assert _json_outcome(dumps, data) == _json_outcome(_indented_json, data)
 
 
+class _Int(int):
+    """An int subclass whose repr is not its digits: json writes int.__repr__'s."""
+
+    def __repr__(self) -> str:
+        return "_Int()"
+
+
+@st.composite
+def _equal_int_rows(draw):
+    """Up to 50 rows of k = 1..7 ints each, each row a list or a tuple, with negative
+    ints and ints above 2^64; one entry may become a bool or an int subclass."""
+    k = draw(st.integers(1, 7))
+    entry = st.integers(-(2**70), 2**70) | st.integers(2**64, 2**80) | st.integers(-3, 3)
+    rows = draw(st.lists(st.lists(entry, min_size=k, max_size=k), max_size=50))
+    if rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, k - 1))
+        rows[i][j] = draw(st.sampled_from([True, False, _Int(rows[i][j])]))
+    rows = [tuple(row) if draw(st.booleans()) else row for row in rows]
+    return draw(st.sampled_from([rows, tuple(rows), {"vertices": rows}]))
+
+
+@given(_equal_int_rows())
+@settings(max_examples=300, deadline=None)
+def test_dumps_writes_rows_of_one_length_as_the_indented_json_encoder_does(rows):
+    assert dumps(rows) == _indented_json(rows)
+
+
 # data that contains itself, and data nested deeper than dumps' own writer goes
 _SELF_LIST, _SELF_DICT, _DEEP = [], {}, [1]
 _SELF_LIST.append(_SELF_LIST)
