@@ -240,7 +240,7 @@ def _certify(
     candidates = [greedy_coloring(adj)]
     for h in hints:
         if _is_proper(adj, h):
-            candidates.append(_canonical(h))
+            candidates.append(h)
     best = min(candidates, key=lambda c: len(set(c)))
     upper = len(set(best))
     if upper > lower:

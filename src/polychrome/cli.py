@@ -134,7 +134,7 @@ def _cmd_fvector(args):
 
 
 def _cmd_resolve(args):
-    paths = [Path(p) for p in (*args.output, args.trace)[:3 if args.trace else 2]]
+    paths = [Path(p) for p in (*args.output, args.trace) if p is not None]
     for i, path in enumerate(paths):  # one would overwrite another: refuse before any work
         if path.resolve() in {p.resolve() for p in paths[:i]}:
             raise ValueError(f"two outputs name the same file: {path}")
@@ -157,7 +157,7 @@ def _cmd_resolve(args):
 
 
 def _cmd_chromatic(args):
-    hint = serialize.load_charmap(args.hint) if args.hint else None
+    hint = serialize.load_charmap(args.hint) if args.hint is not None else None
     cert = chromatic_number(args.polytope, hint=hint, time_budget=args.time_budget)
     def table():
         yield f"chi = {cert.chi} ({cert.status}; bounds {cert.lower}..{cert.upper})"
@@ -226,7 +226,7 @@ def _cmd_reproduce(args):
             "chi": cert.chi,
             "chi_status": cert.status,
         }
-    if args.output:
+    if args.output is not None:
         serialize.save_json(summary, args.output)
     return 0 if result.ok else 2, summary, _reproduce_table(summary)
 

@@ -25,7 +25,7 @@ class Polytope:
     replays byte for byte. This constructor, for input from outside, sorts and leaves
     checking to validate; the library's own builders hand _built canonical fields.
     == and hash read only the fields, not what P caches: its certified mark and the
-    hosts of the faces a full bad_faces scan found (_record_hosts), nothing else."""
+    host table a full bad_faces scan recorded (_record_hosts), nothing else."""
     dim: int
     facet_labels: tuple[str, ...]
     vertices: tuple[tuple[int, ...], ...]
@@ -178,15 +178,17 @@ def _vertex(P: Polytope, V) -> tuple[int, ...]:
 def hosts(P: Polytope, S) -> list[tuple[int, ...]]:
     """The vertices lying on the face S, in vertex order; empty iff S is no face.
 
-    The list P records (_record_hosts), if any; else a scan of P's vertex tuples
-    one facet of S at a time.
+    The list P records (_record_hosts) if each of its vertices, found by bisect as in
+    _vertex, is still one of P's; else a scan of P's vertex tuples one facet at a time.
     """
     fs = frozenset(_facets(S))
-    if (on := P.__dict__.get("_hosts", {}).get(tuple(sorted(fs)))) is not None:
+    vs = P.vertices
+    if (on := P.__dict__.get("_hosts", {}).get(tuple(sorted(fs)))) is not None and all(
+            vs[(i := bisect.bisect_left(vs, V)):i + 1] == (V,) for V in on):
         return list(on)
     if not fs:
         raise ValueError("face set must be nonempty")
-    on = P.vertices
+    on = vs
     for i in fs:
         if i < 0 or i >= P.num_facets:
             raise ValueError(f"facet index {i} out of range [0, {P.num_facets})")
@@ -195,7 +197,12 @@ def hosts(P: Polytope, S) -> list[tuple[int, ...]]:
 
 
 def _record_hosts(P: Polytope, found: dict[tuple[int, ...], list[tuple[int, ...]]]) -> None:
-    """Keep on P the exact hosts, in vertex order, of each face (a sorted facet tuple)."""
+    """Keep on P the exact hosts, in vertex order, of each face (a sorted facet tuple).
+    Nothing changes the table after; each cut takes it as it is (truncate_face).
+    - A cut creates a vertex V - s + F' on a face F only in place of a host V of F, and
+      removes V: F' is newer than every facet of F.
+    - A removed vertex never returns, as every created vertex holds the newest facet.
+    So a list whose vertices all remain is exact, and hosts serves no list that lost one."""
     P.__dict__["_hosts"] = found
 
 
@@ -243,10 +250,10 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]
     six vertices of a triangular-prism facet; truncating a vertex (|S| = 4)
     creates a tetrahedron facet. The new facet is the last one, index
     P.num_facets, and the created vertices are exactly the vertices on it.
-    P must be valid (InvariantError with validate's diagnostics otherwise); the
-    cut is then spliced into P's sorted vertex list (_splice) and built as it
-    stands (_built), unchecked, as the rule itself proves it valid. Say S has k
-    facets and hosts H, and F' = m is the new facet:
+    P must be valid (InvariantError with validate's diagnostics otherwise); the cut is
+    spliced into P's sorted vertex list (_splice), takes P's host table as it is
+    (_record_hosts) and is built as it stands (_built), unchecked, as the rule itself
+    proves it valid. Say S has k facets and hosts H, and F' = m is the new facet:
     - each created V - s + F' is sorted and has n distinct facets, all in range;
     - no two coincide: hosts V != W with V - s = W - t would both lack s;
     - a ridge R without F' that contains S lay on hosts only and now on none; otherwise
@@ -257,10 +264,6 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]
       facet of S; otherwise no created vertex lies on it;
     - coverage: per host, facets of S gain k - 2, its other facets k - 1 and F' gets k;
       the hosts form an (n - k)-regular graph, so F' lies on k|H| >= k(n - k + 1) >= n.
-
-    A face P records hosts for (_record_hosts) keeps them, list and all, if the cut
-    removes none: a created V - s + F' lies on it only if the host V does. Any other,
-    S included, is dropped.
     """
     face, on = _cut(P, S)
     require_valid(P, f"truncating {list(face)} broke the polytope: ")
@@ -269,9 +272,8 @@ def truncate_face(P: Polytope, S) -> tuple[Polytope, tuple[tuple[int, ...], ...]
     created = tuple(V[:j] + V[j + 1:] + (new,) for V in on for j in map(V.index, face))
     labels = P.facet_labels + ("T(" + ",".join(P.facet_labels[i] for i in face) + ")",)
     Q = _built(P.dim, labels, _splice(P, on, created))
-    gone = set(on)
-    if kept := {F: H for F, H in P.__dict__.get("_hosts", {}).items() if gone.isdisjoint(H)}:
-        _record_hosts(Q, kept)
+    if (table := P.__dict__.get("_hosts")) is not None:
+        _record_hosts(Q, table)
     return Q, created
 
 

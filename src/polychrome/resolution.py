@@ -83,25 +83,24 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
     bad faces. Cutting S removes a face only if it contains S, and circuits
     never nest, so each cut removes just its target; it creates no bad face
     either, as resolution_vector keeps every created vertex nonsingular, which
-    a scan of the created vertices re-checks. No step searches for hosts: the
-    full scan records them and each cut carries them on, dropping only its own
-    face's, as a host on two bad faces would leave no vector. truncate_face
-    validates P, which scans an uncertified start in full at the first cut and
-    costs nothing after, as each cut is certified by the rule (see
-    truncate_face). Budget exhaustion or a failed vector search returns its
-    partial report.
+    a scan of the created vertices re-checks. So the scan's list is walked once,
+    with running size counts, and no step searches for hosts: each cut shares the
+    table the scan recorded, and the lists of the faces left all hold, as a host on
+    two bad faces would leave no vector. truncate_face validates P, which scans an
+    uncertified start in full at the first cut and costs nothing after, as each cut
+    is certified by the rule (see truncate_face). Budget exhaustion or a failed
+    vector search returns its partial report.
     """
     if type(budget) is not int or budget < 1:  # a bool is no budget
         raise ValueError(f"budget must be an integer at least 1, got {budget!r}")
     bad = bad_faces(P, L)
-    initial = len(bad)
+    sizes = Counter(b.circuit_size for b in bad)
     steps: list[Step] = []
     terminated = "success"
-    while bad:
+    for target in bad:
         if len(steps) >= budget:
             terminated = "budget_exhausted"
             break
-        target = bad[0]
         try:
             w = resolution_vector(P, L, target.face)
         except NoVectorFound:
@@ -110,14 +109,13 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
         next_P, created = truncate_face(P, target.face)
         next_L = L.extended(w)
         removed = len(P.vertices) + len(created) - len(next_P.vertices)
-        histogram = tuple(sorted(Counter(b.circuit_size for b in bad).items()))
-        steps.append(Step(
-            target.face, target.circuit_size, P.num_facets, w, removed, len(created), histogram
-        ))
+        steps.append(Step(target.face, target.circuit_size, P.num_facets, w, removed,
+                          len(created), tuple(sorted(sizes.items()))))
+        sizes -= Counter((target.circuit_size,))
         if singular := bad_faces(next_P, next_L, created):
             raise InvariantError(
                 f"step {len(steps)}: cutting {list(target.face)} created the singular vertex "
                 f"{list(singular[0].witness_vertex)} with circuit {list(singular[0].face)}"
             )
-        P, L, bad = next_P, next_L, bad[1:]
-    return ResolutionReport(initial, tuple(steps), P, L, terminated)
+        P, L = next_P, next_L
+    return ResolutionReport(len(bad), tuple(steps), P, L, terminated)

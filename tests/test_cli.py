@@ -198,7 +198,7 @@ def test_reproduce_writes_summary(tmp_path, capsys):
     assert data["chi"] == 8
 
 
-def test_usage_and_io_errors_exit_1(tmp_path, capsys):
+def test_usage_and_io_errors_exit_1(tmp_path, monkeypatch, capsys):
     assert main(["frobnicate"]) == 1
     assert main(["gen", "dual-cyclic", "--dim", "4", "--facets", "4",
                  "-o", str(tmp_path / "x.json")]) == 1
@@ -211,6 +211,18 @@ def test_usage_and_io_errors_exit_1(tmp_path, capsys):
     capsys.readouterr()
     assert main(["chromatic", str(poly), "--time-budget", "nan"]) == 1
     assert capsys.readouterr().err == "error: time budget must be a number at least 0, got nan\n"
+    # an empty path option is a path, as an empty positional one is: '.', a directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "dual-cyclic", "--dim", "4", "--facets", "5", "-o", "poly.json"]) == 0
+    assert main(["decorate", "poly.json", "--preset", "identity-first", "-o", "map.json"]) == 0
+    for argv in (["resolve", "poly.json", "map.json", "-o", "r.json", "rm.json", "--trace", ""],
+                 ["chromatic", "poly.json", "--hint", ""],
+                 ["reproduce", "main2", "-o", ""]):
+        files = sorted(os.listdir())
+        capsys.readouterr()
+        assert main(argv) == 1
+        assert capsys.readouterr() == ("", "error: [Errno 21] Is a directory: '.'\n")
+        assert sorted(os.listdir()) == files
 
 
 DEEP = "[" * 100_000  # nested past the recursion limit of any interpreter

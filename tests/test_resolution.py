@@ -466,17 +466,22 @@ def test_one_elimination_per_host_agrees_with_a_rank_per_candidate_and_created_v
         assert resolution_vector(P, L, S) == expected
 
 
-@given(decorated_polytopes())
+@given(decorated_polytopes(), st.data())
 @settings(max_examples=150, deadline=None)
-def test_each_cut_removes_exactly_its_own_bad_face(case):
+def test_each_cut_removes_exactly_its_own_bad_face(case, data):
     # the bad faces before step k, recomputed from scratch, are the initial
-    # list from position k on, witnesses included
+    # list from position k on, witnesses included, whether or not the budget runs out
     P, L = case
-    report = resolve(P, L)
+    fresh = bad_faces(P, L)
+    budget = data.draw(st.integers(1, len(fresh) + 1))
+    report = resolve(P, L, budget)
+    event(report.terminated)
     target(len(report.steps))
     history = replay_bad_history(P, L, report)
     initial = history[0]
-    assert report.initial_bad_count == len(initial)
+    assert report.initial_bad_count == len(initial) == len(fresh)
+    if report.terminated == "budget_exhausted":
+        assert len(report.steps) == budget < len(fresh)
     for k, step in enumerate(report.steps):
         assert history[k] == initial[k:]
         assert step.face == initial[k].face
