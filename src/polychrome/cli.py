@@ -5,15 +5,20 @@ bounds-only chromatic result, non-unimodular lift, failed pipeline
 assertion). Scripts can branch on findings without parsing output.
 
 Each subparser binds its handler (and each gen subparser its builder) with
-set_defaults; main loads the declared polytope and map, then dispatches.
-Commands return (exit code, JSON data, table lines); only main prints, either
-as JSON or as a table. Tables that grow with the input are lazy generators.
+set_defaults. Only main touches files: it loads every declared input, refuses
+outputs it cannot write before any work, dispatches, and writes the outputs a
+command returns, all or none. Commands return (exit code, JSON data, table
+lines, *outputs), one (serialize.save_*, value) pair per output argument in
+declared order, optional ones last; only main prints, either as JSON or as a
+table. Tables that grow with the input are lazy generators.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import os
 import sys
 from pathlib import Path
 
@@ -48,8 +53,7 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--dim", type=int, required=True)
     g.add_argument("--facets", type=int, required=True)
     g = gen_sub.add_parser("product", parents=[out], help="product of two polytope files")
-    g.set_defaults(build=lambda a: product(serialize.load_polytope(a.left),
-                                           serialize.load_polytope(a.right)))
+    g.set_defaults(build=lambda a: product(a.left, a.right))
     g.add_argument("left")
     g.add_argument("right")
     g = gen_sub.add_parser("segment", parents=[out], help="the 1-dimensional segment")
@@ -94,17 +98,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen(args):
     P = args.build(args)
-    serialize.save_polytope(P, args.output)
     return 0, None, [f"wrote {args.output}: dim {P.dim}, {P.num_facets} facets, "
-                     f"{len(P.vertices)} vertices"]
+                     f"{len(P.vertices)} vertices"], (serialize.save_polytope, P)
 
 
 def _cmd_decorate(args):
     L = preset(args.preset, args.polytope)
     if args.mode and args.mode != L.mode:
         L = CharMap(L.n, L.vectors, args.mode)
-    serialize.save_charmap(L, args.output)
-    return 0, None, [f"wrote {args.output}: {len(L.vectors)} vectors, mode {L.mode}"]
+    return 0, None, [f"wrote {args.output}: {len(L.vectors)} vectors, mode {L.mode}"], (
+        serialize.save_charmap, L)
 
 
 def _cmd_check(args):
@@ -134,31 +137,17 @@ def _cmd_fvector(args):
 
 
 def _cmd_resolve(args):
-    paths = [Path(p) for p in (*args.output, args.trace) if p is not None]
-    for i, path in enumerate(paths):  # one would overwrite another: refuse before any work
-        if path.resolve() in {p.resolve() for p in paths[:i]}:
-            raise ValueError(f"two outputs name the same file: {path}")
     report = resolve(args.polytope, args.map, budget=args.budget)
-    to_dicts = (serialize.polytope_to_dict, serialize.charmap_to_dict, serialize.report_to_dict)
-    texts = [(path, serialize.dumps(to_dict(x))) for path, to_dict, x in
-             zip(paths, to_dicts, (report.final_polytope, report.final_map, report))]
-    for i, (path, text) in enumerate(texts):
-        try:
-            path.write_text(text, encoding="utf-8")
-        except OSError:  # all outputs or none: remove the ones already written
-            for written, _ in texts[:i]:
-                written.unlink(missing_ok=True)
-            raise
     return 0 if report.terminated == "success" else 2, None, [
         f"{report.terminated}: {len(report.steps)} steps from {report.initial_bad_count} "
         f"bad faces; final polytope has {report.final_polytope.num_facets} facets, "
         f"{len(report.final_polytope.vertices)} vertices"
-    ]
+    ], (serialize.save_polytope, report.final_polytope), (
+        serialize.save_charmap, report.final_map), (serialize.save_report, report)
 
 
 def _cmd_chromatic(args):
-    hint = serialize.load_charmap(args.hint) if args.hint is not None else None
-    cert = chromatic_number(args.polytope, hint=hint, time_budget=args.time_budget)
+    cert = chromatic_number(args.polytope, hint=args.hint, time_budget=args.time_budget)
     def table():
         yield f"chi = {cert.chi} ({cert.status}; bounds {cert.lower}..{cert.upper})"
         yield f"clique ({len(cert.clique)}): {list(cert.clique)}"
@@ -226,9 +215,7 @@ def _cmd_reproduce(args):
             "chi": cert.chi,
             "chi_status": cert.status,
         }
-    if args.output is not None:
-        serialize.save_json(summary, args.output)
-    return 0 if result.ok else 2, summary, _reproduce_table(summary)
+    return 0 if result.ok else 2, summary, _reproduce_table(summary), (serialize.save_json, summary)
 
 
 def main(argv=None) -> int:
@@ -237,13 +224,30 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         # argparse exits 0 for --help, 2 for usage errors; usage maps to 1 here
         return 0 if exc.code == 0 else 1
+    out = getattr(args, "output", None)  # -o takes one path, or two for resolve
+    paths = [Path(p) for p in (*(out if isinstance(out, list) else [out]),
+                               getattr(args, "trace", None)) if p is not None]
+    written = []
     try:
-        if "polytope" in args:
-            args.polytope = serialize.load_polytope(args.polytope)
-        if "map" in args:
-            args.map = serialize.load_charmap(args.map)
-        code, data, lines = args.run(args)
+        for name, load in (("polytope", serialize.load_polytope), ("left", serialize.load_polytope),
+                           ("right", serialize.load_polytope), ("map", serialize.load_charmap),
+                           ("hint", serialize.load_charmap)):
+            if getattr(args, name, None) is not None:
+                setattr(args, name, load(getattr(args, name)))
+        for i, path in enumerate(paths):  # refuse what could not be written before any work
+            if path.resolve() in {p.resolve() for p in paths[:i]}:
+                raise ValueError(f"two outputs name the same file: {path}")
+            err = (errno.EISDIR if path.is_dir() else errno.ENOENT if not path.parent.exists()
+                   else 0 if path.parent.is_dir() else errno.ENOTDIR)
+            if err:
+                raise OSError(err, os.strerror(err), str(path))
+        code, data, lines, *outputs = args.run(args)
+        for path, (save, value) in zip(paths, outputs):  # a missing optional path drops its output
+            save(value, path)
+            written.append(path)
     except (OSError, ValueError) as exc:
+        for path in written:  # all outputs or none: remove the ones already written
+            path.unlink(missing_ok=True)
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if getattr(args, "format", "table") == "json":

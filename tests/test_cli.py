@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from polychrome import cli
+from polychrome import cli, serialize
 from polychrome.cli import main
 from polychrome.serialize import load_charmap, load_polytope, load_report
 
@@ -101,6 +102,24 @@ def test_a_resolve_that_cannot_write_one_output_leaves_none(simplex_flow, capsys
     assert capsys.readouterr() == (
         "", f"error: [Errno 2] No such file or directory: '{outputs[missing]}'\n"
     )
+    assert sorted(p.name for p in tmp.iterdir()) == ["map.json", "poly.json"]
+
+
+def test_a_resolve_whose_last_write_fails_removes_the_files_it_wrote(simplex_flow, monkeypatch,
+                                                                   capsys):
+    tmp, poly, cmap = simplex_flow
+    trace = tmp / "t.json"
+
+    def disk_full(report, path):
+        written = sorted(p.name for p in tmp.iterdir())
+        assert written == ["map.json", "poly.json", "r.json", "rm.json"]
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    monkeypatch.setattr(serialize, "save_report", disk_full)
+    capsys.readouterr()
+    assert main(["resolve", str(poly), str(cmap), "-o", str(tmp / "r.json"), str(tmp / "rm.json"),
+                 "--trace", str(trace)]) == 1
+    assert capsys.readouterr() == ("", f"error: [Errno 28] No space left on device: '{trace}'\n")
     assert sorted(p.name for p in tmp.iterdir()) == ["map.json", "poly.json"]
 
 
@@ -223,6 +242,75 @@ def test_usage_and_io_errors_exit_1(tmp_path, monkeypatch, capsys):
         assert main(argv) == 1
         assert capsys.readouterr() == ("", "error: [Errno 21] Is a directory: '.'\n")
         assert sorted(os.listdir()) == files
+
+
+UNWRITABLE = {
+    ".": "[Errno 21] Is a directory: '.'",
+    "nodir/x.json": "[Errno 2] No such file or directory: 'nodir/x.json'",
+    "poly.json/x.json": "[Errno 20] Not a directory: 'poly.json/x.json'",
+}
+
+
+@pytest.mark.parametrize("argv, work", [  # {} is the output path; work must not be reached
+    ("gen dual-cyclic --dim 4 --facets 5 -o {}", "dual_cyclic"),
+    ("gen dual-cyclic --dim 4 --facets 4 -o {}", None),  # the path is refused before the arguments
+    ("gen segment -o {}", "segment"),
+    ("gen product poly.json poly.json -o {}", "product"),
+    ("decorate poly.json --preset identity-first -o {}", "preset"),
+    ("resolve poly.json map.json -o {} out-map.json", "resolve"),
+    ("resolve poly.json map.json -o out.json {}", "resolve"),
+    ("resolve poly.json map.json -o out.json out-map.json --trace {}", "resolve"),
+    ("reproduce main3 -o {}", "reproduce"),
+], ids=["gen-dual-cyclic", "gen-bad-arguments", "gen-segment", "gen-product", "decorate",
+        "resolve-polytope", "resolve-map", "resolve-trace", "reproduce"])
+@pytest.mark.parametrize("path", UNWRITABLE, ids=["directory", "missing-parent", "file-parent"])
+def test_an_output_that_cannot_be_written_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
+                                                                    argv, work, path):
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "dual-cyclic", "--dim", "4", "--facets", "5", "-o", "poly.json"]) == 0
+    assert main(["decorate", "poly.json", "--preset", "identity-first", "-o", "map.json"]) == 0
+
+    def reached(*args, **kwargs):
+        raise AssertionError(f"{work} ran before the output path was checked")
+
+    if work is not None:
+        monkeypatch.setattr(cli, work, reached)
+    capsys.readouterr()
+    assert main(argv.format(path).split()) == 1
+    assert capsys.readouterr() == ("", f"error: {UNWRITABLE[path]}\n")
+    assert sorted(os.listdir()) == ["map.json", "poly.json"]
+
+
+def test_every_file_goes_through_the_serialize_module(tmp_path, monkeypatch, capsys):
+    # replaced as perfbench/tracer.py replaces them; a table of the functions built at
+    # import time would bypass the replacements
+    monkeypatch.chdir(tmp_path)
+    assert main(["gen", "dual-cyclic", "--dim", "4", "--facets", "5", "-o", "poly.json"]) == 0
+    assert main(["decorate", "poly.json", "--preset", "identity-first", "-o", "map.json"]) == 0
+    assert main(["gen", "segment", "-o", "seg.json"]) == 0
+    seen = []
+    for name in ("load_polytope", "load_charmap", "save_polytope", "save_charmap"):
+        def counted(*args, name=name, original=getattr(serialize, name)):
+            seen.append((name, str(args[-1])))  # the path is the last argument
+            return original(*args)
+        monkeypatch.setattr(serialize, name, counted)
+    for argv, files in (
+        ("gen product seg.json seg.json -o sq.json",
+         [("load_polytope", "seg.json"), ("load_polytope", "seg.json"),
+          ("save_polytope", "sq.json")]),
+        ("chromatic poly.json --hint map.json",
+         [("load_polytope", "poly.json"), ("load_charmap", "map.json")]),
+        ("check poly.json map.json",
+         [("load_polytope", "poly.json"), ("load_charmap", "map.json")]),
+        ("decorate poly.json --preset identity-first -o if.json",
+         [("load_polytope", "poly.json"), ("save_charmap", "if.json")]),
+        ("resolve poly.json map.json -o r.json rm.json",
+         [("load_polytope", "poly.json"), ("load_charmap", "map.json"),
+          ("save_polytope", "r.json"), ("save_charmap", "rm.json")]),
+    ):
+        seen.clear()
+        assert main(argv.split()) in (0, 2)
+        assert seen == files, argv
 
 
 DEEP = "[" * 100_000  # nested past the recursion limit of any interpreter
