@@ -105,14 +105,13 @@ def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
     vectors iff no proper subset of F XORs to zero, which depends on F's
     vectors alone. So the scan meets F's hosts in vertex order: the first is
     its witness, and a full scan records them all on P (_record_hosts). Where
-    _lanes_win, _zero_subsets finds every vertex's zero subsets at once, and a
-    zero subset is a circuit iff no other zero subset of its row lies inside
-    it: every zero proper subset of F is a zero subset of that row as well, and
-    the walk visits them all. Elsewhere the scan goes vertex by vertex, ranking
-    each and listing a singular one's circuits. Sorted by (circuit size,
-    face). Given some of P's vertices, scans only those, so witnesses come
-    from them; refuses any that is not one of P's vertices, and a `vertices`
-    that is not iterable.
+    _lanes_win, _zero_subsets finds every vertex's zero subsets at once, and
+    gf2._minimal keeps a row's circuits among them, as gf2.circuits does among a
+    kernel's elements: the walk visits every zero subset of the row. Elsewhere
+    the scan goes vertex by vertex, ranking each and listing a singular one's
+    circuits through gf2.circuits. Sorted by (circuit size, face). Given some
+    of P's vertices, scans only those, so witnesses come from them; refuses
+    any that is not one of P's vertices, and a `vertices` that is not iterable.
     """
     _check_aligned(P, L)
     try:
@@ -124,11 +123,8 @@ def bad_faces(P: Polytope, L: CharMap, vertices=None) -> list[BadFace]:
     found: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     if _lanes_win(L.n, len(todo)):
         zero = _zero_subsets(map(L.vectors.__getitem__, c) for c in zip(*todo))
-        # a zero subset is a circuit iff no other zero subset of its row lies inside it;
-        # most rows have one zero subset, and it needs no test
         for k, F in sorted([(k, tuple(map(todo[k].__getitem__, _MEMBERS[s])))
-                            for k, masks in zero.items() for s in masks
-                            if len(masks) == 1 or not any(t & s == t != s for t in masks)]):
+                            for k, masks in zero.items() for s in gf2._minimal(masks)]):
             found.setdefault(F, []).append(todo[k])
     else:
         for V in todo:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .charmap import CharMap, _check_aligned
-from .polytope import Polytope, facet_adjacency
+from .polytope import Polytope, facet_adjacency, require_valid
 
 DEFAULT_TIME_BUDGET = 10.0
 
@@ -287,10 +287,12 @@ def chromatic_number(
 ) -> ChromaticCertificate:
     """Certified chromatic number of the facet-adjacency graph of P.
 
-    A proper coloring induced by the hint map, when given, seeds the upper
-    bound; budget exhaustion downgrades the status to bounds_only rather
-    than raising.
+    P must be valid (InvariantError with validate's diagnostics otherwise; a
+    certified P costs one lookup). A proper coloring induced by the hint map,
+    when given, seeds the upper bound; budget exhaustion downgrades the status
+    to bounds_only rather than raising.
     """
+    require_valid(P, "polytope is invalid: ")
     hints: list[Sequence[int]] = []
     if hint is not None:
         _check_aligned(P, hint)

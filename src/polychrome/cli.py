@@ -237,10 +237,12 @@ def main(argv=None) -> int:
         for i, path in enumerate(paths):  # refuse what could not be written before any work
             if path.resolve() in {p.resolve() for p in paths[:i]}:
                 raise ValueError(f"two outputs name the same file: {path}")
-            err = (errno.EISDIR if path.is_dir() else errno.ENOENT if not path.parent.exists()
-                   else 0 if path.parent.is_dir() else errno.ENOTDIR)
-            if err:
-                raise OSError(err, os.strerror(err), str(path))
+            try:  # the OS's own errno; the trailing slash refuses a parent that is a file
+                os.stat(os.path.join(path.parent, ""))
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror, str(path)) from None
+            if path.is_dir():
+                raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
         code, data, lines, *outputs = args.run(args)
         for path, (save, value) in zip(paths, outputs):  # a missing optional path drops its output
             save(value, path)

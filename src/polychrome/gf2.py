@@ -88,24 +88,31 @@ def circuits(vectors: Sequence[int], n: int) -> list[tuple[int, ...]]:
 
     One elimination finds a kernel basis. The zero-XOR subsets are the 2^d - 1
     nonzero kernel elements, d being the rank deficiency, and the circuits are
-    their minimal supports. Zero vectors are rejected; each would be a
-    singleton circuit and never occurs in a characteristic map.
+    their minimal supports (_minimal). Zero vectors are rejected; each would be
+    a singleton circuit and never occurs in a characteristic map.
     """
     vecs = list(vectors)
     _check(vecs, n)
     if 0 in vecs:
         raise ValueError(f"zero vector at index {vecs.index(0)}")
     _, basis = _eliminate(vecs)
-    if len(basis) < 2:  # no nonzero kernel element but b: its support is the only circuit
-        return [tuple(i for i in range(len(vecs)) if b >> i & 1) for b in basis]
     kernel = [0]
     for b in basis:
         kernel += [k ^ b for k in kernel]
-    found: list[int] = []
-    for s in sorted(kernel[1:], key=int.bit_count):
-        if not any(c & s == c for c in found):
-            found.append(s)
-    return sorted(tuple(i for i in range(len(vecs)) if s >> i & 1) for s in found)
+    return sorted(tuple(i for i in range(len(vecs)) if s >> i & 1) for s in _minimal(kernel[1:]))
+
+
+def _minimal(zero: list[int]) -> list[int]:
+    """The circuits among zero: the index bitmasks of all subsets of one vertex's vectors
+    that XOR to zero. Lightest first, one is kept iff no kept one lies inside it, since a
+    zero subset inside it holds a lighter circuit. A lone one is returned as is."""
+    if len(zero) == 1:
+        return zero
+    kept: list[int] = []
+    for s in sorted(zero, key=int.bit_count):
+        if not any(c & s == c for c in kept):
+            kept.append(s)
+    return kept
 
 
 def vector_str(v: int) -> str:

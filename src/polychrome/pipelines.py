@@ -212,8 +212,10 @@ def product_with_segment(base: ReproduceResult) -> tuple[Polytope, CharMap, Chro
     """The product of a reproduced polytope with a segment, one dimension up.
 
     Both segment facets take the fresh last coordinate vector, so the product
-    map stays non-singular and adds exactly one new color.
+    map stays non-singular and adds exactly one new color. The segment's map
+    takes the run's mode, so stack keeps an oriented run oriented: e_{n+1} has
+    odd weight.
     """
     Q = product(base.polytope, segment())
-    M = stack(base.charmap, segment_map())
+    M = stack(base.charmap, segment_map(base.charmap.mode))
     return Q, M, chromatic_number(Q, hint=M)

@@ -222,12 +222,12 @@ def euler_expected(dim: int) -> int:
 
 
 def facet_adjacency(P: Polytope) -> list[int]:
-    """Facet graph as bitmask rows: bit j of entry i set iff facets i != j share a vertex."""
+    """Facet graph as bitmask rows: bit j of entry i set iff facets i != j share a vertex,
+    that is iff {i, j} is a codimension-2 face, one of the f_{n-2} that f_vector counts."""
     rows = [0] * P.num_facets
-    for V in P.vertices:
-        mask = sum(1 << i for i in V)
-        for i in V:
-            rows[i] |= mask
+    for i, j in set(_faces(P.vertices, 2)):
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
     return [row & ~(1 << i) for i, row in enumerate(rows)]
 
 

@@ -1,4 +1,5 @@
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -290,6 +291,23 @@ def test_the_lane_scan_keeps_only_the_minimal_zero_subsets_of_each_row(case):
     assert full == sorted((BadFace(F, len(F), on[0]) for F, on in hosts.items()),
                           key=lambda b: (b.circuit_size, b.face))
     assert P.__dict__["_hosts"] == hosts
+
+
+def test_both_scans_keep_circuits_by_one_minimality_test():
+    """gf2._minimal decides for both: the lane scan calls it once per row with a zero
+    subset, the per-vertex loop once per singular vertex through gf2.circuits, and
+    neither keeps a face it drops."""
+    P = dual_cyclic(4, 15)  # fresh: a full scan records its hosts on P
+    L = CharMap(4, PAPER_EXAMPLE_VECTORS)
+    singular = [V for V in P.vertices if not is_nonsingular_at(P, L, V)]
+    few = singular[:8]
+    assert _lanes_win(4, len(P.vertices)) and not _lanes_win(4, len(few))
+    assert bad_faces(P, L, few)
+    with mock.patch.object(gf2, "_minimal", return_value=[]) as minimal:
+        assert bad_faces(P, L, P.vertices) == []
+        assert minimal.call_count == len(singular)
+        assert bad_faces(P, L, few) == []
+        assert minimal.call_count == len(singular) + len(few)
 
 
 SCANNED = (dual_cyclic(4, 7), dual_cyclic(5, 9), product(dual_cyclic(2, 4), dual_cyclic(2, 5)))

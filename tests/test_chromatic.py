@@ -117,6 +117,7 @@ def test_graph_api_known_small_cases():
         (3, [(0, 1.0)], "edge (0, 1.0) has an endpoint that is not an integer"),
         (3, [5], "edge 5 is not a pair of nodes"),
         (3, [(0, 1, 2)], "edge (0, 1, 2) is not a pair of nodes"),
+        (3, [(1, 1)], "loop at node 1"),
     ):
         with pytest.raises(ValueError) as exc:
             chromatic_of_graph(n, edges)

@@ -248,6 +248,7 @@ UNWRITABLE = {
     ".": "[Errno 21] Is a directory: '.'",
     "nodir/x.json": "[Errno 2] No such file or directory: 'nodir/x.json'",
     "poly.json/x.json": "[Errno 20] Not a directory: 'poly.json/x.json'",
+    "poly.json/a/x.json": "[Errno 20] Not a directory: 'poly.json/a/x.json'",
 }
 
 
@@ -263,7 +264,8 @@ UNWRITABLE = {
     ("reproduce main3 -o {}", "reproduce"),
 ], ids=["gen-dual-cyclic", "gen-bad-arguments", "gen-segment", "gen-product", "decorate",
         "resolve-polytope", "resolve-map", "resolve-trace", "reproduce"])
-@pytest.mark.parametrize("path", UNWRITABLE, ids=["directory", "missing-parent", "file-parent"])
+@pytest.mark.parametrize("path", UNWRITABLE, ids=["directory", "missing-parent", "file-parent",
+                                              "file-ancestor"])
 def test_an_output_that_cannot_be_written_is_refused_before_any_work(tmp_path, monkeypatch, capsys,
                                                                     argv, work, path):
     monkeypatch.chdir(tmp_path)

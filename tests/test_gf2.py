@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from polychrome import gf2
@@ -101,6 +103,11 @@ def test_circuits_multiple_and_sorted():
 
 def test_circuits_pair_of_equal_vectors():
     assert gf2.circuits([3, 3, 4], 4) == [(0, 1)]
+
+
+def test_circuits_of_sixteen_equal_vectors_are_their_pairs():
+    # 2^15 - 1 zero subsets: a test of every subset against every other would not end
+    assert gf2.circuits([1] * 16, 16) == list(itertools.combinations(range(16), 2))
 
 
 def test_vector_str():

@@ -1,9 +1,10 @@
 """Byte-for-byte goldens of the command line and the demos.
 
 The files in tests/goldens/ pin what a user sees: the `reproduce` summaries
-as JSON and as tables, `check` and `fvector` on the reference decoration,
-`check` on a map with rank-deficiency-2 vertices, the polytope files `gen
-dual-cyclic` writes in an even and an odd dimension, the one-line reports of
+as JSON and as tables, main's also with its product with a segment, `check`
+and `fvector` on the reference decoration, `check` on a map with
+rank-deficiency-2 vertices, the polytope files `gen dual-cyclic` writes in an
+even and an odd dimension, the one-line reports of
 `gen`, `decorate` and `resolve`, `lift-check` and `chromatic --hint` as JSON
 and as tables, the demos' standard output, the `resolve --trace` files, and
 the chromatic layer's greedy colouring, maximum clique and certificate on
@@ -132,6 +133,7 @@ CASES = {
     "reproduce-main-with-product.json": lambda tmp: _cli(
         "reproduce", "main", "--with-product", "--format", "json"
     ),
+    "reproduce-main-with-product.txt": lambda tmp: _cli("reproduce", "main", "--with-product"),
     "check-dc4-15-paper-example.json": lambda tmp: _cli(
         "check", *_inputs(tmp, 4, 15, "paper-example"), "--format", "json"
     ),

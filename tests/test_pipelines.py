@@ -69,6 +69,14 @@ def test_main3_summary(main3_run):
     assert any("dual_cyclic(5, 16)" in note for note in s["notes"])
 
 
+@pytest.mark.parametrize("run, chi", [("main2_run", 9), ("main3_run", 17)])
+def test_the_product_of_an_oriented_run_with_a_segment_stays_oriented(request, run, chi):
+    result, _ = request.getfixturevalue(run)
+    Q, M, cert = pipelines.product_with_segment(result)
+    assert M.mode == "oriented" and all(map(gf2.parity, M.vectors))
+    assert (Q.dim, cert.chi, cert.status) == (result.polytope.dim + 1, chi, "exact")
+
+
 def test_main3_lift_determinants_all_odd(main3_run):
     from polychrome.charmap import lift_determinant_report
 

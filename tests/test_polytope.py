@@ -2,11 +2,12 @@ import itertools
 from unittest import mock
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from polychrome import polytope
 from polychrome.charmap import CharMap, _lanes_win, bad_faces, induced_coloring
+from polychrome.chromatic import chromatic_number
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.polytope import (
     InvariantError,
@@ -202,6 +203,7 @@ def test_require_valid_returns_the_polytope_or_lists_every_diagnostic():
         ("left factor is invalid: ", lambda: product(doubled, segment())),
         ("right factor is invalid: ", lambda: product(segment(), doubled)),
         ("polytope: ", lambda: polytope_from_dict(polytope_to_dict(doubled))),
+        ("polytope is invalid: ", lambda: chromatic_number(doubled)),
     ]
     for prefix, call in calls:
         with pytest.raises(InvariantError) as exc:
@@ -298,6 +300,47 @@ def test_facet_adjacency_matches_codim2_faces(P):
     full = (1 << P.num_facets) - 1
     assert any(row | 1 << i != full for i, row in enumerate(expected))
     assert facet_adjacency(P) == expected
+
+
+# vertex [0, 0] repeats a facet: a bit sum over a vertex's facets would carry into
+# facet 1's bit and give row 0 a neighbour that row 1 lacks
+MALFORMED = Polytope(2, ("a", "b", "c"), [(0, 0), (1, 2), (0, 2), (1, 1)])
+
+
+@st.composite
+def adjacency_cases(draw):
+    """dc(n, m), a product of two small polytopes, or dc(n, m) cut at one of its faces."""
+    kind = draw(st.sampled_from(("dual-cyclic", "product", "cut")))
+    if kind == "product":
+        small = [segment()] + [dual_cyclic(n, m) for n, m in ((2, 3), (2, 5), (3, 5))]
+        return product(draw(st.sampled_from(small)), draw(st.sampled_from(small)))
+    n = draw(st.integers(2, 5))
+    P = dual_cyclic(n, draw(st.integers(n + 1, n + 4)))
+    if kind == "cut":
+        faces = sorted(set(polytope._faces(P.vertices, draw(st.integers(2, n)))))
+        P, _ = truncate_face(P, draw(st.sampled_from(faces)))
+    return P
+
+
+@given(adjacency_cases())
+@example(MALFORMED)
+@settings(max_examples=60, deadline=None)
+def test_facet_adjacency_is_symmetric_loop_free_and_has_one_edge_per_codim2_face(P):
+    rows = facet_adjacency(P)
+    m = P.num_facets
+    assert all(rows[i] >> j & 1 == rows[j] >> i & 1 for i in range(m) for j in range(m))
+    assert not any(row >> i & 1 for i, row in enumerate(rows))
+    if not validate(P):  # a repeated facet is a "face" f_vector counts, but no edge
+        assert sum(map(int.bit_count, rows)) == 2 * f_vector(P)[P.dim - 2]
+
+
+def test_a_malformed_polytope_has_symmetric_rows_and_no_chromatic_number():
+    assert facet_adjacency(MALFORMED) == [4, 4, 3]
+    with pytest.raises(InvariantError) as exc:
+        chromatic_number(MALFORMED)
+    assert str(exc.value) == "polytope is invalid: " + "; ".join(validate(MALFORMED))
+    assert str(exc.value).startswith(
+        "polytope is invalid: vertex-arity: vertex [0, 0] must list exactly 2 distinct facets; ")
 
 
 @given(non_neighbourly(), st.data())

@@ -299,6 +299,10 @@ TRIANGLE = dual_cyclic(2, 3)
                  CharMap(1, (1, 1)), id="bool-width"),
     pytest.param(lambda: CharMap(2, (1.0, 2, 3)), "vectors[0]: expected an integer, got 1.0",
                  CharMap(2, (1, 2, 3)), id="float-vector"),
+    pytest.param(lambda: CharMap(0, (1, 1)), "n: width must be in [1, 16], got 0",
+                 CharMap(1, (1, 1)), id="width-0"),
+    pytest.param(lambda: CharMap(17, (1, 1)), "n: width must be in [1, 16], got 17",
+                 CharMap(16, (1, 1)), id="width-17"),
 ])
 def test_a_charmap_that_could_not_reload_is_refused(tmp_path, build, message, accepted):
     with pytest.raises(InvariantError) as exc:
@@ -315,6 +319,8 @@ def test_a_charmap_that_could_not_reload_is_refused(tmp_path, build, message, ac
                  Polytope(1, ("a", "b"), ((0,), (1,))), id="bool-dim"),
     pytest.param(Polytope(2.0, TRIANGLE.facet_labels, TRIANGLE.vertices),
                  "dimension: dim must be an integer, got 2.0", TRIANGLE, id="float-dim"),
+    pytest.param(Polytope(0, ("a", "b"), ((), ())), "dimension: dim must be at least 1, got 0",
+                 Polytope(1, ("a", "b"), ((0,), (1,))), id="zero-dim"),
     pytest.param(Polytope(2, TRIANGLE.facet_labels,
                           tuple(tuple(map(float, V)) for V in TRIANGLE.vertices)),
                  "index-type: facet indices must be integers, got float", TRIANGLE,
