@@ -5,12 +5,12 @@ bounds-only chromatic result, non-unimodular lift, failed pipeline
 assertion). Scripts can branch on findings without parsing output.
 
 Each subparser binds its handler (and each gen subparser its builder) with
-set_defaults. Only main touches files: it loads every declared input, refuses
-outputs it cannot write before any work, dispatches, and writes the outputs a
-command returns, all or none. Commands return (exit code, JSON data, table
-lines, *outputs), one (serialize.save_*, value) pair per output argument in
-declared order, optional ones last; only main prints, either as JSON or as a
-table. Tables that grow with the input are lazy generators.
+set_defaults. Only main touches files: it loads every declared input, each file
+once per loader, refuses outputs it cannot write before any work, dispatches,
+and writes the outputs a command returns, all or none. Commands return (exit
+code, JSON data, table lines, *outputs), one (serialize.save_*, value) pair per
+output argument in declared order, optional ones last; only main prints, either
+as JSON or as a table. Tables that grow with the input are lazy generators.
 """
 
 from __future__ import annotations
@@ -227,13 +227,15 @@ def main(argv=None) -> int:
     out = getattr(args, "output", None)  # -o takes one path, or two for resolve
     paths = [Path(p) for p in (*(out if isinstance(out, list) else [out]),
                                getattr(args, "trace", None)) if p is not None]
-    written = []
+    written, loaded = [], {}
     try:
         for name, load in (("polytope", serialize.load_polytope), ("left", serialize.load_polytope),
                            ("right", serialize.load_polytope), ("map", serialize.load_charmap),
                            ("hint", serialize.load_charmap)):
-            if getattr(args, name, None) is not None:
-                setattr(args, name, load(getattr(args, name)))
+            if (path := getattr(args, name, None)) is not None:  # each file once per loader
+                if (key := (load, os.path.realpath(path))) not in loaded:
+                    loaded[key] = load(path)
+                setattr(args, name, loaded[key])
         for i, path in enumerate(paths):  # refuse what could not be written before any work
             if path.resolve() in {p.resolve() for p in paths[:i]}:
                 raise ValueError(f"two outputs name the same file: {path}")

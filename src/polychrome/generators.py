@@ -77,5 +77,6 @@ def product(P: Polytope, Q: Polytope) -> Polytope:
     for name, X in (("left", P), ("right", Q)):
         require_valid(X, f"{name} factor is invalid: ")
     offset = P.num_facets
-    return _built(P.dim + Q.dim, P.facet_labels + Q.facet_labels, tuple(
-        VP + tuple(q + offset for q in VQ) for VP in P.vertices for VQ in Q.vertices))
+    right = [tuple(q + offset for q in VQ) for VQ in Q.vertices]
+    return _built(P.dim + Q.dim, P.facet_labels + Q.facet_labels,
+                  tuple(VP + VQ for VP in P.vertices for VQ in right))

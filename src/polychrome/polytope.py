@@ -176,20 +176,22 @@ def _vertex(P: Polytope, V) -> tuple[int, ...]:
 
 
 def hosts(P: Polytope, S) -> list[tuple[int, ...]]:
-    """The vertices lying on the face S, in vertex order; empty iff S is no face.
+    """The vertices lying on the face S, in vertex order; empty iff S is no face."""
+    if not (face := tuple(sorted(set(_facets(S))))):
+        raise ValueError("face set must be nonempty")
+    return _hosts(P, face)
 
-    The list P records (_record_hosts) if each of its vertices, found by bisect as in
-    _vertex, is still one of P's; else a scan of P's vertex tuples one facet at a time.
-    """
-    fs = frozenset(_facets(S))
+
+def _hosts(P: Polytope, face: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """hosts of a nonempty sorted facet tuple: the list P records (_record_hosts) if each
+    of its vertices, found by bisect as in _vertex, is still one of P's; else a scan of
+    P's vertex tuples one facet at a time, which names the smallest facet out of range."""
     vs = P.vertices
-    if (on := P.__dict__.get("_hosts", {}).get(tuple(sorted(fs)))) is not None and all(
+    if (on := P.__dict__.get("_hosts", {}).get(face)) is not None and all(
             vs[(i := bisect.bisect_left(vs, V)):i + 1] == (V,) for V in on):
         return list(on)
-    if not fs:
-        raise ValueError("face set must be nonempty")
     on = vs
-    for i in fs:
+    for i in face:
         if i < 0 or i >= P.num_facets:
             raise ValueError(f"facet index {i} out of range [0, {P.num_facets})")
         on = [V for V in on if i in V]
@@ -207,8 +209,10 @@ def _record_hosts(P: Polytope, found: dict[tuple[int, ...], list[tuple[int, ...]
 
 
 def f_vector(P: Polytope) -> list[int]:
-    """[f_0, ..., f_{n-1}]: face counts by dimension (f_0 = vertices)."""
-    return [len(set(_faces(P.vertices, P.dim - d))) for d in range(P.dim)]
+    """[f_0, ..., f_{n-1}]: face counts by dimension (f_0 = vertices); f_{n-1} counts the
+    facet indices the vertices hold, as many as the 1-facet faces through them."""
+    return [len(set(itertools.chain.from_iterable(P.vertices) if d == P.dim - 1
+                    else _faces(P.vertices, P.dim - d))) for d in range(P.dim)]
 
 
 def euler_sum(fv: list[int]) -> int:
@@ -223,11 +227,16 @@ def euler_expected(dim: int) -> int:
 
 def facet_adjacency(P: Polytope) -> list[int]:
     """Facet graph as bitmask rows: bit j of entry i set iff facets i != j share a vertex,
-    that is iff {i, j} is a codimension-2 face, one of the f_{n-2} that f_vector counts."""
+    that is iff {i, j} is a codimension-2 face, one of the f_{n-2} that f_vector counts.
+    Each vertex ORs the mask of its facets into each of their rows; OR, not a sum, so a
+    repeated facet cannot carry into another's bit. The diagonal is cleared last."""
     rows = [0] * P.num_facets
-    for i, j in set(_faces(P.vertices, 2)):
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
+    for V in P.vertices:
+        mask = 0
+        for i in V:
+            mask |= 1 << i
+        for i in V:
+            rows[i] |= mask
     return [row & ~(1 << i) for i, row in enumerate(rows)]
 
 
@@ -236,7 +245,7 @@ def _cut(P: Polytope, S):
     face = tuple(sorted(set(_facets(S))))
     if not 2 <= (k := len(face)) <= P.dim:
         raise ValueError(f"can only truncate faces of codimension 2..{P.dim}, got {k} facets")
-    if not (on := hosts(P, face)):
+    if not (on := _hosts(P, face)):
         raise ValueError(f"{list(face)} is not a face of the polytope")
     return face, on
 

@@ -110,8 +110,8 @@ def resolve(P: Polytope, L: CharMap, budget: int = DEFAULT_BUDGET) -> Resolution
         next_L = L.extended(w)
         removed = len(P.vertices) + len(created) - len(next_P.vertices)
         steps.append(Step(target.face, target.circuit_size, P.num_facets, w, removed,
-                          len(created), tuple(sorted(sizes.items()))))
-        sizes -= Counter((target.circuit_size,))
+                          len(created), tuple((s, c) for s, c in sorted(sizes.items()) if c)))
+        sizes[target.circuit_size] -= 1  # a size counted down to 0 stays; the listing drops it
         if singular := bad_faces(next_P, next_L, created):
             raise InvariantError(
                 f"step {len(steps)}: cutting {list(target.face)} created the singular vertex "

@@ -10,6 +10,8 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import os
+import shutil
 from dataclasses import fields
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -60,7 +62,31 @@ def _write(x, pad: str) -> str:
 
 
 def save_json(data, path) -> None:
-    Path(path).write_text(dumps(data), encoding="utf-8")
+    """Write dumps(data) to path whole or not at all. The text goes to a new file beside
+    path (beside a symlink's target), which then takes an existing path's permission bits
+    and replaces it; a write that fails, on a full disk say, removes that file, so no stray
+    file is left and an existing path keeps its old bytes. A path that exists but is no
+    regular file (/dev/stdout, a pipe) is written in place. Errors name path itself."""
+    text, target = dumps(data), Path(os.path.realpath(path))
+    if os.path.exists(path) and not os.path.isfile(path):  # nothing there to replace
+        Path(path).write_text(text, encoding="utf-8")
+        return
+    tmp = target.with_name(f".{target.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        f = open(tmp, "x", encoding="utf-8")  # exclusive: a new file, so ours to remove
+        try:
+            with f:
+                f.write(text)
+            if target.exists():
+                shutil.copymode(target, tmp)
+            os.replace(tmp, target)
+        except BaseException:
+            tmp.unlink()
+            raise
+    except OSError as exc:
+        if exc.filename is None:  # a failed write names no file
+            raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def load_json(path):

@@ -105,6 +105,17 @@ def hosts_by_scan(P, S) -> list[tuple[int, ...]]:
     return [V for V in P.vertices if face <= set(V)]
 
 
+# polytope.facet_adjacency before it ORed per-vertex facet masks: the set of facet
+# pairs at each vertex, one bit pair per pair. The mask rows must equal these.
+def facet_adjacency_by_pairs(P) -> list[int]:
+    """Facet graph rows from the set of facet pairs that some vertex holds."""
+    rows = [0] * P.num_facets
+    for i, j in {pair for V in P.vertices for pair in itertools.combinations(V, 2)}:
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return [row & ~(1 << i) for i, row in enumerate(rows)]
+
+
 def validate_from_scratch(P) -> list[str]:
     """validate's full scan of P: a fresh copy carries no cached certificate."""
     return validate(Polytope(P.dim, P.facet_labels, P.vertices))

@@ -297,9 +297,10 @@ def test_every_file_goes_through_the_serialize_module(tmp_path, monkeypatch, cap
             return original(*args)
         monkeypatch.setattr(serialize, name, counted)
     for argv, files in (
-        ("gen product seg.json seg.json -o sq.json",
-         [("load_polytope", "seg.json"), ("load_polytope", "seg.json"),
-          ("save_polytope", "sq.json")]),
+        ("gen product seg.json seg.json -o sq.json",  # one loader reads each file once
+         [("load_polytope", "seg.json"), ("save_polytope", "sq.json")]),
+        ("gen product seg.json ./seg.json -o sq.json",
+         [("load_polytope", "seg.json"), ("save_polytope", "sq.json")]),
         ("chromatic poly.json --hint map.json",
          [("load_polytope", "poly.json"), ("load_charmap", "map.json")]),
         ("check poly.json map.json",
@@ -313,6 +314,9 @@ def test_every_file_goes_through_the_serialize_module(tmp_path, monkeypatch, cap
         seen.clear()
         assert main(argv.split()) in (0, 2)
         assert seen == files, argv
+    seen.clear()  # two loaders each read the file; the map loader refuses a polytope
+    assert main(["check", "poly.json", "poly.json"]) == 1
+    assert seen == [("load_polytope", "poly.json"), ("load_charmap", "poly.json")]
 
 
 DEEP = "[" * 100_000  # nested past the recursion limit of any interpreter
@@ -333,6 +337,7 @@ LOAD_ERRORS = {
     "bin.json": "bin.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte",
     "deep.json": f"deep.json: {_recursion_message(DEEP)}",
     "dup.json": "dup.json: polytope: duplicate-vertex: vertex [0, 1, 2, 3] appears 2 times",
+    "loop.json": f"[Errno {errno.ELOOP}] {os.strerror(errno.ELOOP)}: 'loop.json'",
 }
 POLYTOPE_READS = [  # {} is the polytope file the command reads
     "check {} map.json", "fvector {}", "decorate {} --preset identity-first -o out.json",
@@ -343,7 +348,7 @@ MAP_READS = [  # {} is the map file the command reads
     "check poly.json {}", "resolve poly.json {} -o out.json out-map.json",
     "chromatic poly.json --hint {}", "lift-check poly.json {}",
 ]
-UNREADABLE = ("missing.json", "malformed.json", "bin.json", "deep.json")
+UNREADABLE = ("missing.json", "malformed.json", "bin.json", "deep.json", "loop.json")
 
 
 @pytest.mark.parametrize("argv, broken", [
@@ -363,6 +368,7 @@ def test_a_file_that_does_not_load_exits_1_naming_why(tmp_path, monkeypatch, cap
     Path("zero.json").write_text('{"n": 4, "mode": "general", "vectors": [1, 2, 0, 4, 8]}',
                                  encoding="utf-8")
     Path("deep.json").write_text(DEEP, encoding="utf-8")
+    Path("loop.json").symlink_to("loop.json")
     simplex = json.loads(Path("poly.json").read_text(encoding="utf-8"))
     simplex["vertices"].append(simplex["vertices"][0])
     Path("dup.json").write_text(json.dumps(simplex), encoding="utf-8")

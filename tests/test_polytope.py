@@ -22,7 +22,13 @@ from polychrome.polytope import (
 )
 from polychrome.serialize import polytope_from_dict, polytope_to_dict
 
-from .oracles import faces_bruteforce, hosts_by_scan, truncate_by_definition, validate_from_scratch
+from .oracles import (
+    facet_adjacency_by_pairs,
+    faces_bruteforce,
+    hosts_by_scan,
+    truncate_by_definition,
+    validate_from_scratch,
+)
 
 
 def test_vertices_canonicalized_on_construction():
@@ -123,6 +129,10 @@ def test_is_face_rejects_bad_input():
         hosts(P, (0, 9))
     with pytest.raises(ValueError, match=r"^facet index -1 out of range \[0, 5\)$"):
         hosts(P, (-1,))
+    with pytest.raises(ValueError, match=r"^facet index 7 out of range \[0, 5\)$"):
+        hosts(P, (9, 7))  # the smallest of two out of range
+    with pytest.raises(ValueError, match=r"^facet index -2 out of range \[0, 5\)$"):
+        hosts(P, (9, -2))
     with pytest.raises(ValueError, match=r"^face \[0, True\]: facet True is not an integer$"):
         hosts(P, (0, True))
     with pytest.raises(ValueError, match=r"^face \['a'\]: facet 'a' is not an integer$"):
@@ -327,6 +337,7 @@ def adjacency_cases(draw):
 @settings(max_examples=60, deadline=None)
 def test_facet_adjacency_is_symmetric_loop_free_and_has_one_edge_per_codim2_face(P):
     rows = facet_adjacency(P)
+    assert rows == facet_adjacency_by_pairs(P)  # the vertex masks give the pairs' rows
     m = P.num_facets
     assert all(rows[i] >> j & 1 == rows[j] >> i & 1 for i in range(m) for j in range(m))
     assert not any(row >> i & 1 for i, row in enumerate(rows))
@@ -334,8 +345,24 @@ def test_facet_adjacency_is_symmetric_loop_free_and_has_one_edge_per_codim2_face
         assert sum(map(int.bit_count, rows)) == 2 * f_vector(P)[P.dim - 2]
 
 
+@pytest.mark.parametrize("bad, error", [(-1, ValueError), ("m", IndexError)],
+                         ids=["negative", "too-large"])
+@pytest.mark.parametrize("P", [dual_cyclic(2, 5), dual_cyclic(4, 7), MALFORMED],
+                         ids=["dc2-5", "dc4-7", "malformed"])
+def test_facet_adjacency_refuses_an_index_out_of_range_as_the_facet_pairs_do(P, bad, error):
+    bad = P.num_facets if bad == "m" else bad
+    broken = Polytope(P.dim, P.facet_labels, P.vertices + ((bad,) + P.vertices[0][1:],))
+    for rows in (facet_adjacency, facet_adjacency_by_pairs):
+        with pytest.raises(error):
+            rows(broken)
+
+
 def test_a_malformed_polytope_has_symmetric_rows_and_no_chromatic_number():
     assert facet_adjacency(MALFORMED) == [4, 4, 3]
+    # a repeated facet is a "face" f_vector counts but faces_bruteforce does not
+    assert f_vector(MALFORMED) == [4, 3]
+    assert [len(faces_bruteforce(MALFORMED, 2 - d)) for d in range(2)] == [2, 3]
+    assert f_vector(Polytope(0, ("a", "b"), ((), ()))) == []  # no level, so no facet count
     with pytest.raises(InvariantError) as exc:
         chromatic_number(MALFORMED)
     assert str(exc.value) == "polytope is invalid: " + "; ".join(validate(MALFORMED))
@@ -477,8 +504,8 @@ def test_a_certified_cut_is_spliced_in_order_and_passes_a_full_scan(P, before, d
 def test_hosts_out_of_vertex_order_are_spliced_all_the_same(monkeypatch):
     expected, _ = truncate_face(dual_cyclic(4, 7), (0, 1))
     P = dual_cyclic(4, 7)  # a fresh object: no cut kept on it
-    real_hosts = polytope.hosts
-    monkeypatch.setattr(polytope, "hosts", lambda P, S: real_hosts(P, S)[::-1])
+    real_hosts = polytope._hosts  # what truncate_face's _cut calls
+    monkeypatch.setattr(polytope, "_hosts", lambda P, face: real_hosts(P, face)[::-1])
     with mock.patch.object(polytope, "_scan", wraps=polytope._scan) as scan:
         result, _ = truncate_face(P, (0, 1))
     assert scan.call_count == 0

@@ -208,6 +208,16 @@ def test_resolve_reference_decoration():
     assert f_vector(report.final_polytope) == [197, 394, 243, 46]
 
 
+def test_bad_by_size_drops_a_size_once_its_last_face_is_cut():
+    report = resolve(PAPER, PAPER_MAP)
+    assert report.terminated == "success"
+    for k, step in enumerate(report.steps):  # each step cuts its own face, in list order
+        left = Counter(s.circuit_size for s in report.steps[k:])
+        assert step.bad_by_size == tuple(sorted(left.items()))
+    assert [size for size, _ in report.steps[0].bad_by_size] == [3, 4]
+    assert report.steps[-1].bad_by_size == ((4, 1),)
+
+
 def test_resolve_preserves_original_vectors():
     P = dual_cyclic(4, 15)
     L = preset("paper-example", P)
@@ -486,6 +496,6 @@ def test_each_cut_removes_exactly_its_own_bad_face(case, data):
         assert history[k] == initial[k:]
         assert step.face == initial[k].face
         by_size = Counter(b.circuit_size for b in history[k])
-        assert step.bad_by_size == tuple(sorted(by_size.items()))
+        assert step.bad_by_size == tuple(sorted(by_size.items()))  # so no zero count
     assert history[-1] == initial[len(report.steps):]
     assert (report.terminated == "success") == (history[-1] == [])

@@ -1,6 +1,8 @@
+import errno
 import functools
 import json
 import operator
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from polychrome.charmap import CharMap, preset
 from polychrome.generators import dual_cyclic, product, segment
 from polychrome.polytope import InvariantError, Polytope, validate
+from polychrome import serialize
 from polychrome.resolution import resolve
 from polychrome.serialize import (
     SchemaError,
@@ -23,6 +26,7 @@ from polychrome.serialize import (
     report_from_dict,
     report_to_dict,
     save_charmap,
+    save_json,
     save_polytope,
     save_report,
 )
@@ -65,6 +69,55 @@ def test_report_roundtrip_byte_identical(fixtures):
     save_report(load_report(path), path)
     assert path.read_bytes() == first
     assert load_report(path) == report
+
+
+def test_a_write_that_fails_after_its_file_opened_keeps_the_old_bytes(tmp_path, monkeypatch):
+    target = tmp_path / "out.json"
+    target.write_text("old\n", encoding="utf-8")
+
+    def full_disk(*args, **kwargs):  # the file opens, then its first write fails
+        f = open(*args, **kwargs)
+        def write(text):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        f.write = write
+        return f
+
+    monkeypatch.setattr(serialize, "open", full_disk, raising=False)
+    with pytest.raises(OSError) as exc:
+        save_json({"new": 1}, target)
+    assert exc.value.errno == errno.ENOSPC
+    assert target.read_text(encoding="utf-8") == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.json"]  # no stray file
+
+
+def test_a_save_replaces_the_file_a_path_or_symlink_names_and_keeps_its_mode(tmp_path):
+    target, link = tmp_path / "out.json", tmp_path / "link.json"
+    target.write_text("old\n", encoding="utf-8")
+    target.chmod(0o640)
+    link.symlink_to(target.name)
+    save_json({"new": 1}, link)
+    assert link.is_symlink() and target.read_text(encoding="utf-8") == dumps({"new": 1})
+    assert target.stat().st_mode & 0o777 == 0o640
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "out.json"]
+
+
+def test_a_save_that_cannot_open_its_file_names_the_path_given(tmp_path):
+    missing = tmp_path / "nodir" / "out.json"
+    with pytest.raises(FileNotFoundError) as exc:
+        save_json({}, missing)
+    assert str(exc.value) == f"[Errno 2] No such file or directory: '{missing}'"
+
+
+def test_a_save_to_a_pipe_writes_into_the_pipe(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    fd = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # a reader, so the save's open returns
+    try:
+        save_json({"new": 1}, fifo)
+        assert os.read(fd, 1 << 16).decode() == dumps({"new": 1})
+    finally:
+        os.close(fd)
+    assert fifo.is_fifo() and [p.name for p in tmp_path.iterdir()] == ["pipe"]
 
 
 def test_unsorted_vertices_normalized_on_load(tmp_path):
